@@ -12,6 +12,7 @@ aligned across designs and checkpoint versions.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -86,12 +87,6 @@ class Graph:
         for node in self.nodes:
             counts[node.kind] = counts.get(node.kind, 0) + 1
         return counts
-
-    def node_by_label(self, label: str) -> Node | None:
-        for node in self.nodes:
-            if node.label == label:
-                return node
-        return None
 
     def has_path(self, src: int, dst: int) -> bool:
         succ = self.successors()
@@ -210,7 +205,9 @@ class _Builder:
         self.edges: set[tuple[int, int]] = set()
         self.signal_nodes: dict[str, int] = {}
         self.const_nodes: dict[str, int] = {}
-        self.sym_nodes: dict[int, int] = {}
+        # Keyed on the object, which the dict keeps alive: an id() key
+        # could be reused by a later _Sym once a temporary is freed.
+        self.sym_nodes: dict[_Sym, int] = {}
         self._collect()
 
     # --- driver collection --------------------------------------------
@@ -391,21 +388,20 @@ class _Builder:
     def _emit(self, sym) -> int:
         if isinstance(sym, _Ref):
             return self._signal_node(sym.name)
-        key = id(sym)
-        cached = self.sym_nodes.get(key)
+        cached = self.sym_nodes.get(sym)
         if cached is not None:
             return cached
         if sym.kind == "Constant":
             cached = self.const_nodes.get(sym.label)
             if cached is not None:
-                self.sym_nodes[key] = cached
+                self.sym_nodes[sym] = cached
                 return cached
             nid = self._new_node("Constant", sym.label)
             self.const_nodes[sym.label] = nid
-            self.sym_nodes[key] = nid
+            self.sym_nodes[sym] = nid
             return nid
         nid = self._new_node(sym.kind, sym.label)
-        self.sym_nodes[key] = nid
+        self.sym_nodes[sym] = nid
         for child in sym.children:
             self.edges.add((nid, self._emit(child)))
         return nid
@@ -440,16 +436,15 @@ def build_dfg(flat: FlatModule, trimmed: bool = True) -> Graph:
     return trim(graph) if trimmed else _canonicalize(graph)
 
 
-def analyze_signal(flat: FlatModule, signal: str, trimmed: bool = False) -> Graph:
-    """Build the driver cone of one signal (untrimmed by default)."""
-    graph = _Builder(flat).build([signal], f"{flat.name}.{signal}")
-    return trim(graph) if trimmed else _canonicalize(graph)
-
-
 def trim(graph: Graph) -> Graph:
     """Drop nodes unreachable from the roots and splice out single-driver
-    Signal nodes so pure renames collapse to identical graphs. Idempotent."""
-    succ = graph.successors()
+    Signal nodes so pure renames collapse to identical graphs. Idempotent.
+
+    Splices run lowest spliceable id first; in a cycle of aliases that
+    order decides which alias survives. A splice changes only the
+    successor sets of the spliced node's predecessors, so only those go
+    back on the heap."""
+    succ_lists = graph.successors()
     keep: set[int] = set()
     stack = list(graph.roots)
     while stack:
@@ -457,44 +452,45 @@ def trim(graph: Graph) -> Graph:
         if cur in keep:
             continue
         keep.add(cur)
-        stack.extend(succ[cur])
+        stack.extend(succ_lists[cur])
 
-    edges = {(s, d) for s, d in graph.edges if s in keep and d in keep}
-    alive = set(keep)
-    redirect: dict[int, int] = {}
+    succ: dict[int, set[int]] = {nid: set() for nid in keep}
+    pred: dict[int, set[int]] = {nid: set() for nid in keep}
+    for s, d in graph.edges:
+        if s in keep and d in keep:
+            succ[s].add(d)
+            pred[d].add(s)
+    roots = set(graph.roots)
 
-    def resolve(node: int) -> int:
-        while node in redirect:
-            node = redirect[node]
-        return node
+    def spliceable(nid: int) -> bool:
+        # A self alias stays: there is nothing to splice it to.
+        out = succ.get(nid)
+        return (out is not None and len(out) == 1 and nid not in out
+                and nid not in roots and graph.nodes[nid].kind == "Signal")
 
-    changed = True
-    while changed:
-        changed = False
-        out: dict[int, set[int]] = {}
-        for s, d in edges:
-            out.setdefault(s, set()).add(d)
-        for nid in sorted(alive):
-            if graph.nodes[nid].kind != "Signal" or nid in graph.roots:
-                continue
-            succs = out.get(nid, set())
-            if len(succs) != 1:
-                continue
-            target = next(iter(succs))
-            if target == nid:
-                continue  # self alias stays, nothing to splice to
-            redirect[nid] = target
-            alive.discard(nid)
-            edges = {(resolve(s), resolve(d)) for s, d in edges if s != nid}
-            changed = True
-            break
+    heap = sorted(nid for nid in keep if spliceable(nid))
+    while heap:
+        nid = heapq.heappop(heap)
+        if not spliceable(nid):
+            continue
+        (target,) = succ.pop(nid)
+        into = pred[target]
+        into.discard(nid)
+        for p in pred.pop(nid):
+            out = succ[p]
+            out.discard(nid)
+            out.add(target)
+            into.add(p)
+            if spliceable(p):
+                heapq.heappush(heap, p)
 
-    order = sorted(alive)
+    order = sorted(succ)
+    pos = {old: new for new, old in enumerate(order)}
     return _canonicalize(Graph(
         name=graph.name,
         nodes=[graph.nodes[i] for i in order],
-        edges=sorted((order.index(s), order.index(d)) for s, d in edges),
-        roots=[order.index(resolve(r)) for r in graph.roots],
+        edges=[(pos[s], pos[d]) for s in order for d in succ[s]],
+        roots=[pos[r] for r in graph.roots],
     ))
 
 

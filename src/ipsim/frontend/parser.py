@@ -32,6 +32,9 @@ class _Parser:
         self.tokens = tokens
         self.path = path
         self.pos = 0
+        # Ports of the module being parsed, by name: the first of each
+        # name, as ModuleDecl.port finds it.
+        self.ports: dict[str, n.Port] = {}
 
     @property
     def cur(self) -> Token:
@@ -107,6 +110,9 @@ class _Parser:
         for pname in header_names:
             # Direction/width filled by body declarations.
             mod.ports.append(n.Port(pname, "", None, loc))
+        self.ports = {}
+        for port in mod.ports:
+            self.ports.setdefault(port.name, port)
         while not self.check("endmodule"):
             if self.cur.kind == "eof":
                 self.error("'endmodule'")
@@ -198,9 +204,11 @@ class _Parser:
         width = self.parse_range() if self.check("[") else None
         while True:
             tok = self.expect_ident()
-            port = mod.port(tok.text)
+            port = self.ports.get(tok.text)
             if port is None:
-                mod.ports.append(n.Port(tok.text, direction, width, tok.loc, is_reg=is_reg))
+                port = n.Port(tok.text, direction, width, tok.loc, is_reg=is_reg)
+                mod.ports.append(port)
+                self.ports[tok.text] = port
             elif port.direction:
                 raise VerilogSyntaxError(tok.loc, (f"a single declaration of port {tok.text!r}",), "redeclaration")
             else:

@@ -124,3 +124,61 @@ def has_path(edges: list[tuple[int, int]], src: int, dst: int) -> bool:
                     new.append(nxt)
         frontier = new
     return src == dst
+
+
+def trim_reference(graph):
+    """Reachability cut and Signal splicing, one splice per full rescan.
+
+    After each splice the successor map is rebuilt from every edge and
+    the scan restarts at the lowest live id, so the splice order is the
+    lowest spliceable id first by construction.
+    """
+    from ipsim.dfg import Graph, _canonicalize
+
+    succ = graph.successors()
+    keep: set[int] = set()
+    stack = list(graph.roots)
+    while stack:
+        cur = stack.pop()
+        if cur in keep:
+            continue
+        keep.add(cur)
+        stack.extend(succ[cur])
+
+    edges = {(s, d) for s, d in graph.edges if s in keep and d in keep}
+    alive = set(keep)
+    redirect: dict[int, int] = {}
+
+    def resolve(node: int) -> int:
+        while node in redirect:
+            node = redirect[node]
+        return node
+
+    changed = True
+    while changed:
+        changed = False
+        out: dict[int, set[int]] = {}
+        for s, d in edges:
+            out.setdefault(s, set()).add(d)
+        for nid in sorted(alive):
+            if graph.nodes[nid].kind != "Signal" or nid in graph.roots:
+                continue
+            succs = out.get(nid, set())
+            if len(succs) != 1:
+                continue
+            target = next(iter(succs))
+            if target == nid:
+                continue
+            redirect[nid] = target
+            alive.discard(nid)
+            edges = {(resolve(s), resolve(d)) for s, d in edges if s != nid}
+            changed = True
+            break
+
+    order = sorted(alive)
+    return _canonicalize(Graph(
+        name=graph.name,
+        nodes=[graph.nodes[i] for i in order],
+        edges=sorted((order.index(s), order.index(d)) for s, d in edges),
+        roots=[order.index(resolve(r)) for r in graph.roots],
+    ))

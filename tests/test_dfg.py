@@ -1,12 +1,22 @@
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_edges, random_graph_edges
+import ipsim
 from ipsim.dfg import (
     KIND_INDEX,
     NODE_KINDS,
+    Graph,
+    Node,
     deserialize,
     is_isomorphic,
     serialize,
@@ -16,7 +26,7 @@ from ipsim.dfg import build_dfg
 from ipsim.errors import DfgFormatError, MultipleContinuousDrivers, UndrivenSignal
 from ipsim.frontend import flatten_hierarchy, parse
 from ipsim.pipeline import compile_text
-from reference import has_path
+from reference import has_path, trim_reference
 
 
 def build_raw(src: str):
@@ -155,6 +165,127 @@ module m(input a, output y);
 endmodule
 """)
     assert all(node.kind != "Signal" for node in g.nodes)
+
+
+def random_raw_graph(rng: random.Random, size: int) -> Graph:
+    """An untrimmed graph, mostly Signal aliases, with Signal chains,
+    cycles, self-loops, duplicate edges and several roots."""
+    kinds = [rng.choice(("Signal", "Signal", "Signal", "Input", "Output", "And", "Not"))
+             for _ in range(size)]
+    edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 2 * size))]
+    for _ in range(rng.randint(0, 3)):
+        chain = rng.sample(range(size), rng.randint(1, min(size, 6)))
+        for nid in chain:
+            kinds[nid] = "Signal"
+        edges += zip(chain, chain[1:])
+        if rng.random() < 0.5:
+            edges.append((chain[-1], chain[0]))  # a cycle, or a self-loop
+    edges += rng.choices(edges, k=min(len(edges), 3))
+    roots = rng.choices(range(size), k=rng.randint(1, 3))
+    nodes = [Node(i, kind, f"n{i}") for i, kind in enumerate(kinds)]
+    return Graph("raw", nodes, edges, roots)
+
+
+def test_trim_matches_rescanning_reference():
+    for seed in range(600):
+        rng = random.Random(seed)
+        g = random_raw_graph(rng, rng.randint(1, 24))
+        assert serialize(trim(g)) == serialize(trim_reference(g)), f"seed {seed}"
+
+
+def gate_netlist(inputs: list[str], outputs: list[str], gates: list[tuple]):
+    """Verilog text and the untrimmed graph the builder makes of scalar
+    wires driven by two-input gates: each wire is a Signal node whose one
+    edge leads to its gate. Gates are (kind, output wire, input wires)."""
+    wires = sorted({out for _, out, _ in gates} - set(outputs))
+    text = "\n".join([f"module net({', '.join(inputs + outputs)});",
+                      *(f"  input {p};" for p in inputs),
+                      *(f"  output {p};" for p in outputs),
+                      *(f"  wire {w};" for w in wires),
+                      *(f"  {kind.lower()} ({out}, {', '.join(ins)});" for kind, out, ins in gates),
+                      "endmodule"])
+    kinds = ([("Input", p) for p in inputs] + [("Output", p) for p in outputs]
+             + [("Signal", w) for w in wires] + [(kind, "") for kind, _, _ in gates])
+    nodes = [Node(i, kind, label) for i, (kind, label) in enumerate(kinds)]
+    ids = {nd.label: nd.id for nd in nodes if nd.label}
+    edges = []
+    for gate_id, (_, out, ins) in enumerate(gates, start=len(ids)):
+        edges.append((ids[out], gate_id))
+        edges += [(gate_id, ids[w]) for w in ins]
+    return text, Graph("net", nodes, edges, [ids[p] for p in outputs])
+
+
+def parity_tree(n: int, rng: random.Random):
+    level = [f"x{i}" for i in range(n)]
+    inputs = level[:]
+    rng.shuffle(level)
+    gates = []
+    while len(level) > 1:
+        nxt = [f"w{len(gates) + i}" for i in range(len(level) // 2)] + level[len(level) // 2 * 2:]
+        gates += [("Xor", nxt[i], (level[2 * i], level[2 * i + 1])) for i in range(len(level) // 2)]
+        level = nxt
+    gates = [(kind, "y" if out == level[0] else out, ins) for kind, out, ins in gates]
+    rng.shuffle(gates)
+    return gate_netlist(inputs, ["y"], gates)
+
+
+def ripple_adder(n: int, rng: random.Random):
+    gates = []
+    carry = "cin"
+    for i in range(n):
+        cout = "cout" if i == n - 1 else f"c{i}"
+        gates += [("Xor", f"p{i}", (f"a{i}", f"b{i}")), ("Xor", f"s{i}", (f"p{i}", carry)),
+                  ("And", f"g{i}", (f"a{i}", f"b{i}")), ("And", f"t{i}", (f"p{i}", carry)),
+                  ("Or", cout, (f"g{i}", f"t{i}"))]
+        carry = cout
+    rng.shuffle(gates)
+    inputs = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)] + ["cin"]
+    return gate_netlist(inputs, [f"s{i}" for i in range(n)] + ["cout"], gates)
+
+
+def test_gate_netlist_graph_is_what_the_builder_makes():
+    for text, raw in (parity_tree(9, random.Random(1)), ripple_adder(3, random.Random(2))):
+        assert is_isomorphic(trim(raw), compile_text(text))
+        assert serialize(trim(raw)) == serialize(trim_reference(raw))
+
+
+def test_trim_of_large_netlists_has_closed_form_counts():
+    _, parity = parity_tree(1024, random.Random(3))
+    assert trim(parity).kind_counts() == {"Input": 1024, "Output": 1, "Xor": 1023}
+    _, adder = ripple_adder(256, random.Random(4))
+    assert trim(adder).kind_counts() == {"Input": 513, "Output": 257,
+                                         "Xor": 512, "And": 512, "Or": 256}
+
+
+def vector_adder(n: int) -> str:
+    """Ripple-carry adder whose bits are assigned one at a time into
+    vector wires, so each wire is driven by a Concat of bit slices."""
+    lines = [f"module vadd(input [{n - 1}:0] a, input [{n - 1}:0] b, input cin,"
+             f" output [{n - 1}:0] s, output cout);",
+             f"  wire [{n - 1}:0] p, g, t;", f"  wire [{n}:0] c;", "  assign c[0] = cin;"]
+    for i in range(n):
+        lines += [f"  assign p[{i}] = a[{i}] ^ b[{i}];", f"  assign g[{i}] = a[{i}] & b[{i}];",
+                  f"  assign t[{i}] = p[{i}] & c[{i}];", f"  assign s[{i}] = p[{i}] ^ c[{i}];",
+                  f"  assign c[{i + 1}] = g[{i}] | t[{i}];"]
+    lines += [f"  assign cout = c[{n}];", "endmodule"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_vector_wire_adder_keeps_its_logic_under_any_hash_seed(hash_seed):
+    script = ("import json, sys\n"
+              "from ipsim.pipeline import compile_text\n"
+              "for text in json.load(sys.stdin):\n"
+              "    g = compile_text(text)\n"
+              "    print(json.dumps([g.num_nodes, g.kind_counts()]))\n")
+    src_root = str(Path(ipsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input=json.dumps([vector_adder(4), vector_adder(8)]),
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    counts = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(size, kinds["And"], kinds["Or"]) for size, kinds in counts] == [(71, 8, 4), (131, 16, 8)]
 
 
 def test_shared_subexpression_emitted_once():

@@ -33,6 +33,25 @@ def test_ansi_style_ports():
     assert mod.port("y").is_reg
 
 
+@pytest.mark.parametrize("src", [
+    "module m(a, y); input a; input a; output y; endmodule",
+    "module m(input a, output y); input a; endmodule",
+    "module m(y); output y; input b; input b; endmodule",
+])
+def test_port_redeclaration_rejected(src):
+    with pytest.raises(VerilogSyntaxError, match="redeclaration"):
+        parse(src, "<test>")
+
+
+def test_port_declarations_are_per_module():
+    ast = parse("module m(a, y); input a; output [1:0] y; endmodule\n"
+                "module k(a, y); output a; input y; endmodule", "<test>")
+    m, k = ast.module("m"), ast.module("k")
+    assert [(p.name, p.direction) for p in m.ports] == [("a", "input"), ("y", "output")]
+    assert [(p.name, p.direction) for p in k.ports] == [("a", "output"), ("y", "input")]
+    assert m.port("y").width is not None and k.port("y").width is None
+
+
 def test_operator_precedence_shape():
     mod = parse_one("module m(input a, input b, input c, output y);"
                     " assign y = a | b & c; endmodule")
