@@ -25,6 +25,7 @@ from ipsim.corpus import (  # noqa: E402
     scan_corpus,
     split_pairs,
 )
+from ipsim.detect import sweep_delta  # noqa: E402
 from ipsim.encode import encode  # noqa: E402
 from ipsim.model import Hyper  # noqa: E402
 from ipsim.train import (  # noqa: E402
@@ -41,16 +42,6 @@ PINNED = dict(lr=0.005, optimizer="adam", batch_size=64, epochs=50,
               margin=0.5, delta=0.5, patience=None)
 HYPER = Hyper(hidden_dim=16, num_layers=2, pool_ratio=0.5, readout="max",
               dropout=0.1)
-
-
-def sweep(labels: list[int], scores: list[float]) -> tuple[float, float]:
-    best_delta, best_acc = 0.0, -1.0
-    for i in range(199):
-        delta = round(-0.99 + 0.01 * i, 2)
-        acc = sum((l == 1) == (s > delta) for l, s in zip(labels, scores)) / len(labels)
-        if acc > best_acc:
-            best_delta, best_acc = delta, acc
-    return best_delta, best_acc
 
 
 def main() -> int:
@@ -90,7 +81,7 @@ def main() -> int:
     labels = [p.label for p in test_pairs]
     pos = [s for l, s in zip(labels, scores) if l == 1]
     neg = [s for l, s in zip(labels, scores) if l == -1]
-    delta, acc = sweep(labels, scores)
+    delta, acc = sweep_delta(labels, scores)
     wall = time.perf_counter() - t0
 
     meta = {"seed": args.seed, "epochs_run": len(result.trace),

@@ -27,7 +27,7 @@ from ipsim.corpus import (
     split_pairs,
     write_pair_manifest,
 )
-from ipsim.detect import DEFAULT_DELTA, Verdict, cosine_similarity
+from ipsim.detect import DEFAULT_DELTA, Verdict, cosine_similarity, judge, sweep_delta
 from ipsim.dfg import serialize
 from ipsim.encode import encode
 from ipsim.errors import IpsimError
@@ -166,6 +166,11 @@ def _hyper_from(args) -> Hyper:
 
 def cmd_train(args) -> int:
     timer = _Timer(args.timing)
+    hyper = _hyper_from(args)
+    config = TrainConfig(lr=args.lr, batch_size=args.batch_size, epochs=args.epochs,
+                         margin=args.margin, delta=args.delta, seed=args.seed,
+                         patience=args.patience if args.patience >= 0 else None,
+                         optimizer=args.optimizer)
     families = _corpus_families(args)
     entries = flatten_families(families)
     kept, _, tensors = _encode_corpus(entries, timer)
@@ -176,11 +181,6 @@ def cmd_train(args) -> int:
     if args.pairs_out:
         paths = {e.name: e.path for e in kept}
         write_pair_manifest(args.pairs_out, train_pairs + test_pairs, paths)
-    hyper = _hyper_from(args)
-    config = TrainConfig(lr=args.lr, batch_size=args.batch_size, epochs=args.epochs,
-                         margin=args.margin, delta=args.delta, seed=args.seed,
-                         patience=args.patience if args.patience >= 0 else None,
-                         optimizer=args.optimizer)
 
     def log(row):
         if not args.quiet:
@@ -218,34 +218,39 @@ def _embed_file(path, top, params, hyper):
     return embed(params, encode(graph), hyper)
 
 
+def _manifest_embedder(manifest, params, hyper):
+    """Embedding lookup for the design refs of a pair manifest, each
+    compiled once. A relative ref that is not a file from the working
+    directory resolves against the manifest's directory."""
+    base = Path(manifest).parent
+    cache: dict[str, np.ndarray] = {}
+
+    def emb_of(ref: str) -> np.ndarray:
+        if ref not in cache:
+            path = Path(ref)
+            if not path.is_absolute() and not path.is_file():
+                path = base / ref
+            cache[ref] = _embed_file(path, None, params, hyper)
+        return cache[ref]
+
+    return emb_of
+
+
 def cmd_compare(args) -> int:
     timer = _Timer(args.timing)
     params, hyper, _ = load_checkpoint(args.checkpoint)
-    lines = []
     if args.batch:
-        records = read_pair_manifest(args.batch)
-        base = Path(args.batch).parent
-        cache: dict[str, np.ndarray] = {}
-
-        def emb_of(ref: str) -> np.ndarray:
-            if ref not in cache:
-                path = Path(ref)
-                if not path.is_absolute() and not path.is_file():
-                    path = base / ref
-                cache[ref] = _embed_file(path, None, params, hyper)
-            return cache[ref]
-
-        for rec in records:
-            score = cosine_similarity(emb_of(rec.a), emb_of(rec.b))
-            lines.append(Verdict(rec.a, rec.b, score, args.delta).to_json())
+        emb_of = _manifest_embedder(args.batch, params, hyper)
+        verdicts = [judge(rec.a, rec.b, emb_of(rec.a), emb_of(rec.b), args.delta)
+                    for rec in read_pair_manifest(args.batch)]
     else:
         if not (args.a and args.b):
             raise IpsimError("compare needs two design files or --batch")
         emb_a = _embed_file(args.a, args.top_a, params, hyper)
         emb_b = _embed_file(args.b, args.top_b, params, hyper)
-        score = cosine_similarity(emb_a, emb_b)
-        lines.append(Verdict(args.a, args.b, score, args.delta).to_json())
+        verdicts = [judge(args.a, args.b, emb_a, emb_b, args.delta)]
     timer.lap("embed")
+    lines = [v.to_json() for v in verdicts]
     for line in lines:
         print(line)
     if args.jsonl:
@@ -255,35 +260,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _sweep(labels: list[int], scores: list[float]) -> tuple[float, float]:
-    best_delta, best_acc = 0.0, -1.0
-    for i in range(199):
-        delta = round(-0.99 + 0.01 * i, 2)
-        correct = sum(1 for label, s in zip(labels, scores) if (label == 1) == (s > delta))
-        acc = correct / len(labels)
-        if acc > best_acc:
-            best_delta, best_acc = delta, acc
-    return best_delta, best_acc
-
-
 def cmd_eval(args) -> int:
     timer = _Timer(args.timing)
     params, hyper, _ = load_checkpoint(args.checkpoint)
     if args.pairs:
-        records = read_pair_manifest(args.pairs)
-        base = Path(args.pairs).parent
-        cache: dict[str, np.ndarray] = {}
-
-        def emb_of(ref: str) -> np.ndarray:
-            if ref not in cache:
-                path = Path(ref)
-                if not path.is_absolute() and not path.is_file():
-                    path = base / ref
-                cache[ref] = _embed_file(path, None, params, hyper)
-            return cache[ref]
-
-        pairs = records
-        scores = [cosine_similarity(emb_of(p.a), emb_of(p.b)) for p in records]
+        pairs = [p for p in read_pair_manifest(args.pairs)
+                 if args.split == "all" or p.split == args.split]
+        emb_of = _manifest_embedder(args.pairs, params, hyper)
+        scores = [cosine_similarity(emb_of(p.a), emb_of(p.b)) for p in pairs]
     else:
         families = _corpus_families(args)
         kept, _, tensors = _encode_corpus(flatten_families(families), timer)
@@ -291,10 +275,10 @@ def cmd_eval(args) -> int:
         if args.split != "all":
             train_pairs, test_pairs = split_pairs(pairs, args.test_fraction, seed=args.seed)
             pairs = test_pairs if args.split == "test" else train_pairs
-        if not pairs:
-            raise IpsimError("no pairs to evaluate")
         _, scores = evaluate(params, hyper, tensors,
                              [p.as_tuple() for p in pairs], args.delta)
+    if not pairs:
+        raise IpsimError("no pairs to evaluate")
     timer.lap("score", len(pairs))
     labels = [p.label for p in pairs]
     tp = sum(1 for l, s in zip(labels, scores) if l == 1 and s > args.delta)
@@ -312,7 +296,7 @@ def cmd_eval(args) -> int:
     if neg:
         print(f"mean different score: {float(np.mean(neg)):.4f}")
     if args.sweep:
-        best_delta, best_acc = _sweep(labels, scores)
+        best_delta, best_acc = sweep_delta(labels, scores)
         print(f"best delta: {best_delta:.2f} (accuracy {best_acc:.4f})")
     if args.out:
         if args.format == "csv":
@@ -409,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p_eval.add_argument("--sweep", action="store_true",
                         help="report the accuracy-maximizing threshold")
-    p_eval.add_argument("--split", choices=("all", "train", "test"), default="all")
+    p_eval.add_argument("--split", choices=("all", "train", "test"), default="all",
+                        help="pairs to score; with --pairs, rows whose split column matches")
     p_eval.add_argument("--test-fraction", type=float, default=0.2)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", help="write per-pair verdicts here")

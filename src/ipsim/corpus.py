@@ -11,8 +11,6 @@ negatives (-1), and RTL only pairs with RTL unless mixing is requested.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -129,40 +127,19 @@ def read_manifest(path: str | Path) -> list[DesignEntry]:
     return entries
 
 
-def max_workers() -> int:
-    cap = os.environ.get("IPSIM_THREADS")
-    if cap:
-        try:
-            value = int(cap)
-        except ValueError:
-            raise CorpusError(f"IPSIM_THREADS must be an integer, got {cap!r}")
-        if value < 1:
-            raise CorpusError("IPSIM_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
-
-
 def load_graphs(entries: list[DesignEntry], trimmed: bool = True,
                 on_skip=None) -> dict[str, Graph]:
-    """Compile every entry to a graph. Out-of-subset designs are skipped
-    through on_skip(entry, error) when given, otherwise they raise."""
-
-    def compile_one(entry: DesignEntry):
-        try:
-            return entry, compile_design([entry.path], trimmed=trimmed), None
-        except PipelineError as exc:
-            return entry, None, exc
-
-    workers = min(max_workers(), max(len(entries), 1))
+    """Compile every entry to a graph, in order. Out-of-subset designs are
+    skipped through on_skip(entry, error) when given, otherwise they raise."""
     graphs: dict[str, Graph] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for entry, graph, exc in pool.map(compile_one, entries):
-            if exc is not None:
-                if on_skip is not None and isinstance(exc.cause, UnsupportedConstruct):
-                    on_skip(entry, exc)
-                    continue
-                raise exc
-            graphs[entry.name] = graph
+    for entry in entries:
+        try:
+            graphs[entry.name] = compile_design([entry.path], trimmed=trimmed)
+        except PipelineError as exc:
+            if on_skip is not None and isinstance(exc.cause, UnsupportedConstruct):
+                on_skip(entry, exc)
+                continue
+            raise
     return graphs
 
 

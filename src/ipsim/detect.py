@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ipsim.errors import ZeroEmbedding
+from ipsim.errors import ConfigError, ZeroEmbedding
 
 DEFAULT_DELTA = 0.5
 
@@ -43,5 +43,18 @@ class Verdict:
 def judge(name_a: str, name_b: str, emb_a: np.ndarray, emb_b: np.ndarray,
           delta: float = DEFAULT_DELTA) -> Verdict:
     if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [-1, 1], got {delta}")
+        raise ConfigError(f"delta must lie in [-1, 1], got {delta}")
     return Verdict(name_a, name_b, cosine_similarity(emb_a, emb_b), delta)
+
+
+def sweep_delta(labels: list[int], scores: list[float]) -> tuple[float, float]:
+    """The delta on the centi-grid -0.99..0.99 that maximizes the accuracy
+    of score > delta against +1/-1 labels; ties go to the smaller delta.
+    Returns (delta, accuracy)."""
+    best_delta, best_acc = 0.0, -1.0
+    for i in range(199):
+        delta = round(-0.99 + 0.01 * i, 2)
+        acc = sum((l == 1) == (s > delta) for l, s in zip(labels, scores)) / len(labels)
+        if acc > best_acc:
+            best_delta, best_acc = delta, acc
+    return best_delta, best_acc

@@ -85,6 +85,10 @@ class UnresolvedIdentifier(ElaborationError):
         super().__init__(f"identifier {name!r} does not resolve to a declaration or port", location)
 
 
+class ConfigError(IpsimError, ValueError):
+    """A setting outside its valid range (model, training or threshold)."""
+
+
 class DfgError(IpsimError):
     pass
 

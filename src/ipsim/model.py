@@ -1,9 +1,9 @@
 """Graph embedding network.
 
 Two spectral convolution layers, self-attention top-k pooling, then a
-global readout. Forward and reverse passes are written directly in
-numpy: the reverse pass is the exact gradient of the forward pass, with
-the top-k selection treated as locally constant and max readout routing
+global readout. ``forward`` is built from ``gcn_layer``, ``sag_pool``
+and ``readout``; ``backward`` is its exact gradient in numpy, with the
+top-k selection treated as locally constant and max readout routing
 gradient to the first maximal row per column.
 """
 
@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ipsim.encode import FEATURE_DIM, GraphTensors
-from ipsim.errors import ShapeMismatch
+from ipsim.errors import ConfigError, ShapeMismatch
 
 READOUTS = ("max", "mean", "sum")
 
@@ -34,13 +33,15 @@ class Hyper:
 
     def __post_init__(self):
         if self.readout not in READOUTS:
-            raise ValueError(f"readout must be one of {READOUTS}, got {self.readout!r}")
+            raise ConfigError(f"readout must be one of {READOUTS}, got {self.readout!r}")
         if not 0.0 < self.pool_ratio <= 1.0:
-            raise ValueError("pool_ratio must be in (0, 1]")
+            raise ConfigError("pool_ratio must be in (0, 1]")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ConfigError("dropout must be in [0, 1)")
         if self.num_layers < 1:
-            raise ValueError("need at least one convolution layer")
+            raise ConfigError("need at least one convolution layer")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be at least 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = []
@@ -99,7 +100,7 @@ class PoolResult:
     alpha: np.ndarray         # raw attention scores, all nodes
     gate: np.ndarray          # tanh(alpha) on kept nodes
     x: np.ndarray             # gated features of kept nodes
-    p: np.ndarray | sp.csr_matrix  # induced propagation matrix
+    prop: np.ndarray          # P @ x, the scorer's input
 
 
 def top_k_indices(alpha: np.ndarray, ratio: float) -> np.ndarray:
@@ -112,15 +113,11 @@ def top_k_indices(alpha: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float) -> PoolResult:
-    alpha = np.asarray((p @ x) @ score).ravel()
+    prop = np.asarray(p @ x)
+    alpha = (prop @ score).ravel()
     sel = top_k_indices(alpha, ratio)
     gate = np.tanh(alpha[sel])
-    x_pool = x[sel] * gate[:, None]
-    if sp.issparse(p):
-        p_pool = p[sel][:, sel].tocsr()
-    else:
-        p_pool = p[np.ix_(sel, sel)]
-    return PoolResult(selected=sel, alpha=alpha, gate=gate, x=x_pool, p=p_pool)
+    return PoolResult(selected=sel, alpha=alpha, gate=gate, x=x[sel] * gate[:, None], prop=prop)
 
 
 def readout(x: np.ndarray, mode: str = "max") -> np.ndarray:
@@ -140,11 +137,8 @@ class ForwardCache:
     tensors: GraphTensors
     hidden: list[np.ndarray] = field(default_factory=list)   # h_0 .. h_L (post activation+dropout)
     pre_act: list[np.ndarray] = field(default_factory=list)  # z_l per layer
-    propagated: list[np.ndarray] = field(default_factory=list)  # P @ h_{l-1} per layer
     masks: list[np.ndarray] | None = None
-    pool_input_prop: np.ndarray | None = None   # P @ h_L
     pool: PoolResult | None = None
-    argmax_rows: np.ndarray | None = None
     embedding: np.ndarray | None = None
 
 
@@ -168,27 +162,14 @@ def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
     h = gt.x
     cache.hidden.append(h)
     for l, w in enumerate(params.weights):
-        prop = np.asarray(gt.p @ h)
-        z = prop @ w
+        z = gcn_layer(gt.p, h, w, activate=False)
         h = np.maximum(z, 0.0)
         if masks is not None and hyper.dropout > 0.0:
             h = h * masks[l] / keep
-        cache.propagated.append(prop)
         cache.pre_act.append(z)
         cache.hidden.append(h)
-    cache.pool_input_prop = np.asarray(gt.p @ h)
-    alpha = (cache.pool_input_prop @ params.score).ravel()
-    sel = top_k_indices(alpha, hyper.pool_ratio)
-    gate = np.tanh(alpha[sel])
-    x_pool = h[sel] * gate[:, None]
-    cache.pool = PoolResult(selected=sel, alpha=alpha, gate=gate, x=x_pool, p=None)
-    if hyper.readout == "max":
-        cache.argmax_rows = x_pool.argmax(axis=0)
-        cache.embedding = x_pool.max(axis=0)
-    elif hyper.readout == "mean":
-        cache.embedding = x_pool.mean(axis=0)
-    else:
-        cache.embedding = x_pool.sum(axis=0)
+    cache.pool = sag_pool(gt.p, h, params.score, hyper.pool_ratio)
+    cache.embedding = readout(cache.pool.x, hyper.readout)
     return cache
 
 
@@ -211,7 +192,7 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
 
     d_xpool = np.zeros((k, dim))
     if hyper.readout == "max":
-        d_xpool[cache.argmax_rows, np.arange(dim)] = d_embedding
+        d_xpool[pool.x.argmax(axis=0), np.arange(dim)] = d_embedding
     elif hyper.readout == "mean":
         d_xpool[:] = d_embedding / k
     else:
@@ -225,7 +206,7 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
     d_alpha[sel] = d_gate * (1.0 - pool.gate ** 2)
 
     grads = zeros_like_params(params)
-    grads.score[:] = cache.pool_input_prop.T @ d_alpha[:, None]
+    grads.score[:] = pool.prop.T @ d_alpha[:, None]
     d_prop_pool = d_alpha[:, None] * params.score.ravel()[None, :]
     d_h += np.asarray(gt.p.T @ d_prop_pool)
 
@@ -234,7 +215,7 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
         if cache.masks is not None and hyper.dropout > 0.0:
             d_h = d_h * cache.masks[l] / keep
         d_z = d_h * (cache.pre_act[l] > 0.0)
-        grads.weights[l][:] = cache.propagated[l].T @ d_z
+        grads.weights[l][:] = np.asarray(gt.p @ cache.hidden[l]).T @ d_z
         d_prop = d_z @ params.weights[l].T
         d_h = np.asarray(gt.p.T @ d_prop)
     return grads

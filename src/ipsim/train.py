@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ipsim.encode import VOCAB_VERSION, GraphTensors
-from ipsim.errors import CheckpointError, MissingGraph, NonFiniteLoss, VocabularyMismatch
+from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
 from ipsim.model import (
     ForwardCache,
     Hyper,
@@ -160,6 +160,8 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
           test_pairs: list[Pair] | None, hyper: Hyper, config: TrainConfig,
           init: ModelParams | None = None,
           log=None) -> TrainResult:
+    if config.batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1, got {config.batch_size}")
     _check_pairs(graphs, train_pairs)
     if test_pairs:
         _check_pairs(graphs, test_pairs)

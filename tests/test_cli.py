@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -224,6 +225,70 @@ def test_eval_pairs_manifest(corpus, checkpoint, tmp_path, capsys):
     code = main(["eval", "--pairs", str(manifest), "--checkpoint", str(checkpoint)])
     assert code == EXIT_OK
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_eval_pairs_honours_split(corpus, checkpoint, tmp_path, capsys):
+    a, b, c = (corpus / "andor" / "andor0.v", corpus / "andor" / "andor1.v",
+               corpus / "muxes" / "muxes0.v")
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(f"a_path,b_path,label,split\n{a},{b},1,test\n"
+                        f"{a},{c},-1,test\n{b},{c},-1,train\n")
+    for split, count in (("test", 2), ("train", 1), ("all", 3)):
+        code = main(["eval", "--pairs", str(manifest), "--checkpoint", str(checkpoint),
+                     "--split", split])
+        assert code == EXIT_OK
+        assert f"pairs: {count} " in capsys.readouterr().out
+
+    untagged = tmp_path / "untagged.csv"
+    untagged.write_text(f"a_path,b_path,label\n{a},{b},1\n")
+    code = main(["eval", "--pairs", str(untagged), "--checkpoint", str(checkpoint),
+                 "--split", "test"])
+    assert code == EXIT_INPUT
+    assert "error: no pairs to evaluate" in capsys.readouterr().err
+
+
+def test_manifest_refs_resolve_against_manifest_dir(corpus, checkpoint, tmp_path,
+                                                    monkeypatch, capsys):
+    designs = tmp_path / "bundle" / "designs"
+    designs.mkdir(parents=True)
+    for family, stem in (("andor", "andor0"), ("andor", "andor2"), ("xorchain", "xorchain0")):
+        shutil.copy(corpus / family / f"{stem}.v", designs)
+    manifest = tmp_path / "bundle" / "pairs.csv"
+    manifest.write_text("a_path,b_path,label,split\n"
+                        "designs/andor0.v,designs/andor2.v,1,test\n"
+                        "designs/andor0.v,designs/xorchain0.v,-1,test\n")
+    monkeypatch.chdir(tmp_path)
+    code = main(["compare", "--batch", str(manifest), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_OK
+    verdicts = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(v["a"], v["b"]) for v in verdicts] == [
+        ("designs/andor0.v", "designs/andor2.v"), ("designs/andor0.v", "designs/xorchain0.v")]
+    code = main(["eval", "--pairs", str(manifest), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_OK
+    assert "pairs: 2 (+1 / -1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--pool-ratio", "0", "pool_ratio"),
+    ("--batch-size", "0", "batch size"),
+    ("--hidden", "0", "hidden_dim"),
+])
+def test_train_bad_settings_are_input_errors(corpus, tmp_path, capsys, flag, value, message):
+    code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                 *TRAIN_ARGS, flag, value])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert "internal error" not in err
+
+
+def test_compare_rejects_delta_out_of_range(corpus, checkpoint, capsys):
+    design = str(corpus / "andor" / "andor0.v")
+    code = main(["compare", design, design, "--checkpoint", str(checkpoint), "--delta", "2"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "delta" in captured.err
+    assert captured.out == ""
 
 
 def test_project_csv(corpus, checkpoint, tmp_path, capsys):

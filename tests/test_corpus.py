@@ -7,7 +7,6 @@ from ipsim.corpus import (
     group_families,
     load_graphs,
     make_pairs,
-    max_workers,
     read_manifest,
     read_pair_manifest,
     scan_corpus,
@@ -179,19 +178,6 @@ def test_pair_manifest_errors(tmp_path):
     empty.write_text("a_path,b_path,label\n")
     with pytest.raises(CorpusError, match="no pairs"):
         read_pair_manifest(empty)
-
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv("IPSIM_THREADS", "3")
-    assert max_workers() == 3
-    monkeypatch.setenv("IPSIM_THREADS", "zero")
-    with pytest.raises(CorpusError):
-        max_workers()
-    monkeypatch.setenv("IPSIM_THREADS", "0")
-    with pytest.raises(CorpusError):
-        max_workers()
-    monkeypatch.delenv("IPSIM_THREADS")
-    assert max_workers() >= 1
 
 
 def test_load_graphs_compiles_and_skips(tmp_path):

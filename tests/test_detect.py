@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ipsim.detect import DEFAULT_DELTA, Verdict, cosine_similarity, judge
+from ipsim.detect import DEFAULT_DELTA, Verdict, cosine_similarity, judge, sweep_delta
 from ipsim.errors import ZeroEmbedding
 from reference import cosine_reference
+from test_acceptance import swept_delta
 
 finite_vec = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -124,6 +125,29 @@ def test_judge_validates_delta():
         judge("x", "y", a, a, delta=-2.0)
     for edge in (-1.0, 1.0):
         assert judge("x", "y", a, a, delta=edge).delta == edge
+
+
+def test_sweep_delta_ties_go_to_the_smaller_delta():
+    # Every delta in [0.20, 0.50) separates these pairs.
+    assert sweep_delta([1, -1], [0.5, 0.2]) == (0.2, 1.0)
+
+
+def test_sweep_delta_grid_ends():
+    assert sweep_delta([1], [-0.98]) == (-0.99, 1.0)
+    assert sweep_delta([-1, -1], [0.99, 0.5]) == (0.99, 1.0)
+    # No grid point separates these, so the first (smallest) delta wins.
+    assert sweep_delta([1, -1], [-0.995, -0.999]) == (-0.99, 0.5)
+
+
+def test_sweep_delta_matches_acceptance_sweep():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        labels = rng.choice([1, -1], size=40).tolist()
+        scores = rng.uniform(-1.0, 1.0, size=40).tolist()
+        delta, acc = sweep_delta(labels, scores)
+        ref_acc, ref_delta = swept_delta(labels, scores)
+        assert acc == ref_acc
+        assert delta == pytest.approx(ref_delta, abs=1e-9)
 
 
 def test_cosine_known_angle():

@@ -95,7 +95,6 @@ def test_sag_pool_gates_and_induces_submatrix():
     assert list(res.selected) == sorted(res.selected)
     np.testing.assert_allclose(res.gate, np.tanh(res.alpha[res.selected]))
     np.testing.assert_allclose(res.x, x[res.selected] * res.gate[:, None])
-    np.testing.assert_allclose(res.p, gt.p[np.ix_(res.selected, res.selected)])
 
 
 def test_sag_pool_sparse_propagation():
@@ -110,7 +109,7 @@ def test_sag_pool_sparse_propagation():
     d = sag_pool(dense, x, score, 0.4)
     s = sag_pool(sparse, x, score, 0.4)
     np.testing.assert_array_equal(d.selected, s.selected)
-    np.testing.assert_allclose(s.p.toarray(), d.p)
+    np.testing.assert_allclose(s.prop, d.prop)
     np.testing.assert_allclose(s.x, d.x)
 
 
@@ -162,6 +161,8 @@ def test_hyper_validation():
         Hyper(dropout=1.0)
     with pytest.raises(ValueError):
         Hyper(num_layers=0)
+    with pytest.raises(ValueError):
+        Hyper(hidden_dim=0)
 
 
 def test_dropout_masks_shapes_and_values():
@@ -193,6 +194,22 @@ def test_forward_with_masks_drops_units(full_adder_graph):
     cache = forward(params, gt, HYPER, masks=masks)
     for h, m in zip(cache.hidden[1:], masks):
         np.testing.assert_array_equal(h[m == 0.0], 0.0)
+
+
+def test_forward_is_built_from_the_layer_functions(full_adder_graph, monkeypatch):
+    import ipsim.model as model_mod
+    calls = {"gcn_layer": 0, "sag_pool": 0, "readout": 0}
+    for name in calls:
+        original = getattr(model_mod, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, name, spy)
+    hyper = Hyper(hidden_dim=8, num_layers=3, readout="mean", dropout=0.0)
+    forward(init_params(hyper, seed=1), encode(full_adder_graph), hyper)
+    assert calls == {"gcn_layer": 3, "sag_pool": 1, "readout": 1}
 
 
 def test_zeros_like_and_add_scaled():
