@@ -27,7 +27,7 @@ from ipsim.corpus import (
     split_pairs,
     write_pair_manifest,
 )
-from ipsim.detect import DEFAULT_DELTA, Verdict, cosine_similarity, judge, sweep_delta
+from ipsim.detect import DEFAULT_DELTA, Verdict, check_delta, cosine_similarity, judge, sweep_delta
 from ipsim.dfg import serialize
 from ipsim.encode import encode
 from ipsim.errors import IpsimError
@@ -261,6 +261,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_delta(args.delta)
     timer = _Timer(args.timing)
     params, hyper, _ = load_checkpoint(args.checkpoint)
     if args.pairs:

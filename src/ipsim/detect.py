@@ -40,10 +40,15 @@ class Verdict:
             separators=(", ", ": "))
 
 
-def judge(name_a: str, name_b: str, emb_a: np.ndarray, emb_b: np.ndarray,
-          delta: float = DEFAULT_DELTA) -> Verdict:
+def check_delta(delta: float) -> None:
+    """Reject a piracy threshold outside the range of a cosine."""
     if not -1.0 <= delta <= 1.0:
         raise ConfigError(f"delta must lie in [-1, 1], got {delta}")
+
+
+def judge(name_a: str, name_b: str, emb_a: np.ndarray, emb_b: np.ndarray,
+          delta: float = DEFAULT_DELTA) -> Verdict:
+    check_delta(delta)
     return Verdict(name_a, name_b, cosine_similarity(emb_a, emb_b), delta)
 
 

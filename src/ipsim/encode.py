@@ -83,11 +83,11 @@ def normalize_adjacency(a_hat):
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def encode(graph: Graph, sparse_threshold: int = SPARSE_THRESHOLD) -> GraphTensors:
+def encode(graph: Graph) -> GraphTensors:
     """Lower a graph to (features, propagation matrix)."""
     if graph.num_nodes == 0:
         raise EmptyGraph(f"graph {graph.name!r} has no nodes")
-    sparse = graph.num_nodes > sparse_threshold
+    sparse = graph.num_nodes > SPARSE_THRESHOLD
     return GraphTensors(
         name=graph.name,
         x=one_hot_features(graph),

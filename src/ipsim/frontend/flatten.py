@@ -144,6 +144,30 @@ def _resolve_width(width: n.Range | None, env: dict[str, int]) -> tuple[int, int
     return (const_eval(width.msb, env), const_eval(width.lsb, env))
 
 
+def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
+    """Map expressions of one instance into the flat module's names.
+    Bounds must elaborate to constants so slices can be compared."""
+
+    def hook(e: n.Expr, walk):
+        if isinstance(e, n.Ident):
+            if e.name in env:
+                return n.Number(e.loc, str(env[e.name]), env[e.name])
+            if e.name in alias:
+                return n.Ident(e.loc, alias[e.name])
+            return n.Ident(e.loc, prefix + e.name)
+        if isinstance(e, n.Repeat):
+            count = const_eval(e.count, env)
+            return n.Repeat(e.loc, n.Number(e.loc, str(count), count), tuple(walk(p) for p in e.parts))
+        if isinstance(e, n.PartSelect):
+            msb = const_eval(e.msb, env)
+            lsb = const_eval(e.lsb, env)
+            return n.PartSelect(e.loc, walk(e.base),
+                                n.Number(e.loc, str(msb), msb), n.Number(e.loc, str(lsb), lsb))
+        return None
+
+    return lambda expr: n.map_expr(expr, hook)
+
+
 class _Flattener:
     def __init__(self, ast: n.Ast):
         self.ast = ast
@@ -170,20 +194,18 @@ class _Flattener:
             if net.name not in alias:
                 flat.widths[prefix + net.name] = _resolve_width(net.width, env)
 
-        def sub(expr: n.Expr) -> n.Expr:
-            return self._sub_expr(expr, prefix, env, alias)
-
+        sub = _substituter(prefix, env, alias)
         for assign in mod.assigns:
             flat.assigns.append(n.ContinuousAssign(sub(assign.lhs), sub(assign.rhs), assign.loc))
         for blk in mod.always_blocks:
             sens = None
             if blk.sensitivity is not None:
                 sens = [n.SensItem(s.edge, alias.get(s.signal, prefix + s.signal)) for s in blk.sensitivity]
-            flat.always_blocks.append(n.AlwaysBlock(sens, self._sub_stmts(blk.body, prefix, env, alias), blk.loc))
+            flat.always_blocks.append(n.AlwaysBlock(sens, n.map_stmts(blk.body, sub), blk.loc))
         for gate in mod.gates:
             self._lower_gate(gate, sub)
         for inst in mod.instances:
-            self._inline_instance(mod, inst, prefix, env, alias, stack)
+            self._inline_instance(inst, prefix, sub, stack)
 
     def _lower_gate(self, gate: n.GateInstance, sub):
         loc = gate.loc
@@ -206,8 +228,7 @@ class _Flattener:
             rhs = n.Unary(loc, "~", rhs)
         self.flat.assigns.append(n.ContinuousAssign(terms[0], rhs, loc))
 
-    def _inline_instance(self, parent: n.ModuleDecl, inst: n.Instance, prefix: str,
-                         env: dict[str, int], alias: dict[str, str], stack: list[str]):
+    def _inline_instance(self, inst: n.Instance, prefix: str, sub, stack: list[str]):
         child = self.ast.module(inst.module_name)
         if child is None:
             raise UnknownModule(inst.module_name)
@@ -223,10 +244,10 @@ class _Flattener:
             if len(positional_overrides) > len(settable):
                 raise ElaborationError(f"{inst.loc}: too many parameter overrides for {child.name!r}")
             for p, (_, expr) in zip(settable, positional_overrides):
-                overrides[p.name] = const_eval(self._sub_expr(expr, prefix, env, alias), {})
+                overrides[p.name] = const_eval(sub(expr), {})
         else:
             for name, expr in inst.param_overrides:
-                overrides[name] = const_eval(self._sub_expr(expr, prefix, env, alias), {})
+                overrides[name] = const_eval(sub(expr), {})
         child_env = _eval_params(child, overrides)
 
         conns = inst.connections
@@ -254,7 +275,7 @@ class _Flattener:
             expr = port_map.get(port.name)
             if expr is None:
                 continue  # unconnected ports keep their prefixed net, undriven
-            sub_conn = self._sub_expr(expr, prefix, env, alias)
+            sub_conn = sub(expr)
             if isinstance(sub_conn, n.Ident):
                 child_alias[port.name] = sub_conn.name
                 continue
@@ -264,58 +285,6 @@ class _Flattener:
             else:
                 self.flat.assigns.append(n.ContinuousAssign(inner, sub_conn, inst.loc))
         self._inline(child, child_prefix, child_env, child_alias, stack + [inst.module_name])
-
-    def _sub_expr(self, expr: n.Expr, prefix: str, env: dict[str, int],
-                  alias: dict[str, str]) -> n.Expr:
-        sub = lambda e: self._sub_expr(e, prefix, env, alias)
-        if isinstance(expr, n.Ident):
-            if expr.name in env:
-                return n.Number(expr.loc, str(env[expr.name]), env[expr.name])
-            if expr.name in alias:
-                return n.Ident(expr.loc, alias[expr.name])
-            return n.Ident(expr.loc, prefix + expr.name)
-        if isinstance(expr, n.Number):
-            return expr
-        if isinstance(expr, n.Unary):
-            return n.Unary(expr.loc, expr.op, sub(expr.operand))
-        if isinstance(expr, n.Binary):
-            return n.Binary(expr.loc, expr.op, sub(expr.left), sub(expr.right))
-        if isinstance(expr, n.Ternary):
-            return n.Ternary(expr.loc, sub(expr.cond), sub(expr.true), sub(expr.false))
-        if isinstance(expr, n.Concat):
-            return n.Concat(expr.loc, tuple(sub(p) for p in expr.parts))
-        if isinstance(expr, n.Repeat):
-            count = const_eval(expr.count, env)
-            return n.Repeat(expr.loc, n.Number(expr.loc, str(count), count), tuple(sub(p) for p in expr.parts))
-        if isinstance(expr, n.BitSelect):
-            return n.BitSelect(expr.loc, sub(expr.base), sub(expr.index))
-        if isinstance(expr, n.PartSelect):
-            # Bounds must elaborate to constants so slices can be compared.
-            msb = const_eval(expr.msb, env)
-            lsb = const_eval(expr.lsb, env)
-            return n.PartSelect(expr.loc, sub(expr.base),
-                                n.Number(expr.loc, str(msb), msb), n.Number(expr.loc, str(lsb), lsb))
-        raise ElaborationError(f"unexpected expression node {type(expr).__name__}")
-
-    def _sub_stmts(self, stmts: list, prefix: str, env: dict[str, int], alias: dict[str, str]) -> list:
-        sub = lambda e: self._sub_expr(e, prefix, env, alias)
-        out = []
-        for stmt in stmts:
-            if isinstance(stmt, n.AssignStmt):
-                out.append(n.AssignStmt(sub(stmt.lhs), sub(stmt.rhs), stmt.blocking, stmt.loc))
-            elif isinstance(stmt, n.IfStmt):
-                out.append(n.IfStmt(sub(stmt.cond),
-                                    self._sub_stmts(stmt.then_body, prefix, env, alias),
-                                    self._sub_stmts(stmt.else_body, prefix, env, alias), stmt.loc))
-            elif isinstance(stmt, n.CaseStmt):
-                items = []
-                for item in stmt.items:
-                    labels = None if item.labels is None else tuple(sub(l) for l in item.labels)
-                    items.append(n.CaseItem(labels, self._sub_stmts(item.body, prefix, env, alias)))
-                out.append(n.CaseStmt(sub(stmt.subject), items, stmt.loc))
-            else:
-                raise ElaborationError(f"unexpected statement node {type(stmt).__name__}")
-        return out
 
 
 def infer_top(ast: n.Ast) -> str:

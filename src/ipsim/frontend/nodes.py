@@ -1,12 +1,14 @@
 """Abstract syntax tree for the supported Verilog subset.
 
 Expression nodes are plain dataclasses; every node carries the source
-location of its first token.
+location of its first token. EXPR_FIELDS says which fields hold
+subexpressions, and the walkers at the end of this module are built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, fields
 
 from ipsim.errors import SourceLocation
 
@@ -69,6 +71,25 @@ class PartSelect(Expr):
     base: Expr
     msb: Expr
     lsb: Expr
+
+
+# Fields of each expression type that hold a subexpression (an Expr or a
+# tuple of them), in source order. They are the last constructor
+# arguments, after loc and any operator.
+EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    Ident: (),
+    Number: (),
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    Ternary: ("cond", "true", "false"),
+    Concat: ("parts",),
+    Repeat: ("count", "parts"),
+    BitSelect: ("base", "index"),
+    PartSelect: ("base", "msb", "lsb"),
+}
+# The leading constructor arguments that map_expr copies unchanged.
+_HEAD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name not in kids)
+                for cls, kids in EXPR_FIELDS.items()}
 
 
 @dataclass
@@ -205,3 +226,89 @@ class Ast:
             if m.name == name:
                 return m
         return None
+
+
+def children(expr: Expr) -> list[Expr]:
+    """The direct subexpressions of expr, in source order."""
+    out = []
+    for name in EXPR_FIELDS[type(expr)]:
+        child = getattr(expr, name)
+        if isinstance(child, tuple):
+            out.extend(child)
+        else:
+            out.append(child)
+    return out
+
+
+def iter_expr(expr: Expr) -> Iterator[Expr]:
+    """Every node of an expression tree, pre-order from an explicit stack:
+    a node comes before its subexpressions, and the last child of a node
+    is visited first."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if EXPR_FIELDS[type(e)]:
+            stack.extend(children(e))
+
+
+def map_expr(expr: Expr, hook: Callable) -> Expr:
+    """Rebuild an expression tree through hook(e, walk), which sees each
+    node before its subexpressions. A node it returns replaces e and is
+    not descended into (the hook may call walk on the children it wants
+    rewritten); None rebuilds e from its children walked left to right."""
+
+    def walk(e: Expr) -> Expr:
+        new = hook(e, walk)
+        if new is not None:
+            return new
+        cls = type(e)
+        kids = EXPR_FIELDS[cls]
+        if not kids:
+            return e
+        args = [getattr(e, name) for name in _HEAD_FIELDS[cls]]
+        for name in kids:
+            child = getattr(e, name)
+            args.append(tuple(map(walk, child)) if isinstance(child, tuple) else walk(child))
+        return cls(*args)
+
+    return walk(expr)
+
+
+def map_stmts(stmts: list[Statement], fn: Callable[[Expr], Expr]) -> list[Statement]:
+    """Copy a statement list with fn applied to every expression in it,
+    case labels and assignment targets included. A case statement maps
+    its items before its subject."""
+    out = []
+    for stmt in stmts:
+        if isinstance(stmt, AssignStmt):
+            out.append(AssignStmt(fn(stmt.lhs), fn(stmt.rhs), stmt.blocking, stmt.loc))
+        elif isinstance(stmt, IfStmt):
+            out.append(IfStmt(fn(stmt.cond), map_stmts(stmt.then_body, fn),
+                              map_stmts(stmt.else_body, fn), stmt.loc))
+        elif isinstance(stmt, CaseStmt):
+            items = [CaseItem(None if it.labels is None else tuple(fn(lab) for lab in it.labels),
+                              map_stmts(it.body, fn)) for it in stmt.items]
+            out.append(CaseStmt(fn(stmt.subject), items, stmt.loc))
+        else:
+            raise TypeError(f"unexpected statement node {type(stmt).__name__}")
+    return out
+
+
+def stmt_exprs(stmts: list[Statement]) -> Iterator[Expr]:
+    """Every top-level expression of a statement list in source order:
+    target before value, condition or subject before the bodies, and
+    each case item's labels before its body."""
+    for stmt in stmts:
+        if isinstance(stmt, AssignStmt):
+            yield stmt.lhs
+            yield stmt.rhs
+        elif isinstance(stmt, IfStmt):
+            yield stmt.cond
+            yield from stmt_exprs(stmt.then_body)
+            yield from stmt_exprs(stmt.else_body)
+        elif isinstance(stmt, CaseStmt):
+            yield stmt.subject
+            for item in stmt.items:
+                yield from item.labels or ()
+                yield from stmt_exprs(item.body)

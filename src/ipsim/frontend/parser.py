@@ -511,30 +511,6 @@ class _Parser:
         return n.Concat(loc, tuple(parts))
 
 
-def _expr_idents(expr: n.Expr):
-    """Yield every Ident node referenced in an expression tree."""
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, n.Ident):
-            yield e
-        elif isinstance(e, n.Unary):
-            stack.append(e.operand)
-        elif isinstance(e, n.Binary):
-            stack.extend((e.left, e.right))
-        elif isinstance(e, n.Ternary):
-            stack.extend((e.cond, e.true, e.false))
-        elif isinstance(e, n.Concat):
-            stack.extend(e.parts)
-        elif isinstance(e, n.Repeat):
-            stack.append(e.count)
-            stack.extend(e.parts)
-        elif isinstance(e, n.BitSelect):
-            stack.extend((e.base, e.index))
-        elif isinstance(e, n.PartSelect):
-            stack.extend((e.base, e.msb, e.lsb))
-
-
 def _resolve_module(mod: n.ModuleDecl, path: str):
     """Check identifier resolution, inserting implicit 1-bit wires where the
     standard allows them (simple names in port connections and assign LHS)."""
@@ -557,32 +533,16 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             if isinstance(expr, n.Ident):
                 implicit(expr.name, expr.loc)
     for assign in mod.assigns:
-        for ident in _expr_idents(assign.lhs):
-            implicit(ident.name, ident.loc)
+        for e in n.iter_expr(assign.lhs):
+            if isinstance(e, n.Ident):
+                implicit(e.name, e.loc)
 
     def check_expr(expr: n.Expr | None):
         if expr is None:
             return
-        for ident in _expr_idents(expr):
-            if ident.name not in declared:
-                raise UnresolvedIdentifier(ident.name, ident.loc)
-
-    def check_stmts(stmts: list):
-        for stmt in stmts:
-            if isinstance(stmt, n.AssignStmt):
-                check_expr(stmt.lhs)
-                check_expr(stmt.rhs)
-            elif isinstance(stmt, n.IfStmt):
-                check_expr(stmt.cond)
-                check_stmts(stmt.then_body)
-                check_stmts(stmt.else_body)
-            elif isinstance(stmt, n.CaseStmt):
-                check_expr(stmt.subject)
-                for item in stmt.items:
-                    if item.labels:
-                        for lab in item.labels:
-                            check_expr(lab)
-                    check_stmts(item.body)
+        for e in n.iter_expr(expr):
+            if isinstance(e, n.Ident) and e.name not in declared:
+                raise UnresolvedIdentifier(e.name, e.loc)
 
     for assign in mod.assigns:
         check_expr(assign.rhs)
@@ -591,7 +551,8 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             for item in blk.sensitivity:
                 if item.signal not in declared:
                     raise UnresolvedIdentifier(item.signal, blk.loc)
-        check_stmts(blk.body)
+        for expr in n.stmt_exprs(blk.body):
+            check_expr(expr)
     for inst in mod.instances:
         for _, expr in inst.connections:
             check_expr(expr)

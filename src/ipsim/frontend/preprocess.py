@@ -1,6 +1,9 @@
 """Verilog preprocessing: comments, `define/`undef, conditionals, `include.
 
-Output is plain Verilog with no backtick directives and no blank lines.
+Output is plain Verilog with no backtick directives. Every source line
+keeps its line number: blank lines, directives, lines of an inactive
+branch and `define continuation lines come out empty. Text pulled in by
+`include is inserted without its blank lines and shifts the lines after it.
 Supported directives: `define (object-like), `undef, `ifdef/`ifndef/`else/
 `endif, `include, `timescale (stripped). Anything else is an error.
 """
@@ -96,8 +99,7 @@ class _Preprocessor:
     def process_file(self, path: str, text: str, include_stack: tuple[str, ...]) -> str:
         if path in include_stack:
             raise PreprocessError(f"circular `include of {path!r}")
-        lines = self._process_lines(path, text, include_stack + (path,))
-        return "\n".join(ln for ln in lines if ln.strip())
+        return "\n".join(self._process_lines(path, text, include_stack + (path,)))
 
     def _read_include(self, inc: str, including: str) -> tuple[str, str]:
         candidates = [
@@ -126,9 +128,9 @@ class _Preprocessor:
             stripped = line.strip()
             active = all(f[0] for f in cond)
             if not stripped.startswith("`"):
-                if active and stripped:
-                    out.append(_expand_macros(line, self.macros, loc))
+                out.append(_expand_macros(line, self.macros, loc) if active and stripped else "")
                 continue
+            out.append("")
 
             m = MACRO_RE.match(stripped)
             directive = m.group(1) if m else ""
@@ -163,6 +165,7 @@ class _Preprocessor:
                 while body.rstrip().endswith("\\") and i < len(raw_lines):
                     body = body.rstrip()[:-1] + " " + raw_lines[i].strip()
                     i += 1
+                    out.append("")
                 self.macros[name] = body.strip()
             elif directive == "undef":
                 self.macros.pop(rest.split()[0] if rest else "", None)

@@ -73,6 +73,12 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+
 
 @dataclass
 class EpochStats:
@@ -160,8 +166,6 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
           test_pairs: list[Pair] | None, hyper: Hyper, config: TrainConfig,
           init: ModelParams | None = None,
           log=None) -> TrainResult:
-    if config.batch_size < 1:
-        raise ConfigError(f"batch size must be at least 1, got {config.batch_size}")
     _check_pairs(graphs, train_pairs)
     if test_pairs:
         _check_pairs(graphs, test_pairs)

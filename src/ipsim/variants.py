@@ -46,56 +46,19 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def _map_expr(expr: n.Expr, mapping: dict[str, str]) -> n.Expr:
-    if isinstance(expr, n.Ident):
-        if expr.name in mapping:
-            return n.Ident(expr.loc, mapping[expr.name])
-        return expr
-    if isinstance(expr, n.Number):
-        return expr
-    if isinstance(expr, n.Unary):
-        return n.Unary(expr.loc, expr.op, _map_expr(expr.operand, mapping))
-    if isinstance(expr, n.Binary):
-        return n.Binary(expr.loc, expr.op, _map_expr(expr.left, mapping), _map_expr(expr.right, mapping))
-    if isinstance(expr, n.Ternary):
-        return n.Ternary(expr.loc, _map_expr(expr.cond, mapping),
-                         _map_expr(expr.true, mapping), _map_expr(expr.false, mapping))
-    if isinstance(expr, n.Concat):
-        return n.Concat(expr.loc, tuple(_map_expr(p, mapping) for p in expr.parts))
-    if isinstance(expr, n.Repeat):
-        return n.Repeat(expr.loc, _map_expr(expr.count, mapping),
-                        tuple(_map_expr(p, mapping) for p in expr.parts))
-    if isinstance(expr, n.BitSelect):
-        return n.BitSelect(expr.loc, _map_expr(expr.base, mapping), _map_expr(expr.index, mapping))
-    if isinstance(expr, n.PartSelect):
-        return n.PartSelect(expr.loc, _map_expr(expr.base, mapping),
-                            _map_expr(expr.msb, mapping), _map_expr(expr.lsb, mapping))
-    raise TypeError(type(expr).__name__)
+def _renamer(mapping: dict[str, str]):
+    def hook(e: n.Expr, walk):
+        if isinstance(e, n.Ident) and e.name in mapping:
+            return n.Ident(e.loc, mapping[e.name])
+        return None
+
+    return lambda expr: n.map_expr(expr, hook)
 
 
-def _map_range(width: n.Range | None, mapping: dict[str, str]) -> n.Range | None:
+def _map_range(width: n.Range | None, rename) -> n.Range | None:
     if width is None:
         return None
-    return n.Range(_map_expr(width.msb, mapping), _map_expr(width.lsb, mapping))
-
-
-def _map_stmts(stmts: list, mapping: dict[str, str]) -> list:
-    out = []
-    for stmt in stmts:
-        if isinstance(stmt, n.AssignStmt):
-            out.append(n.AssignStmt(_map_expr(stmt.lhs, mapping), _map_expr(stmt.rhs, mapping),
-                                    stmt.blocking, stmt.loc))
-        elif isinstance(stmt, n.IfStmt):
-            out.append(n.IfStmt(_map_expr(stmt.cond, mapping),
-                                _map_stmts(stmt.then_body, mapping),
-                                _map_stmts(stmt.else_body, mapping), stmt.loc))
-        elif isinstance(stmt, n.CaseStmt):
-            items = [n.CaseItem(None if it.labels is None else tuple(_map_expr(l, mapping) for l in it.labels),
-                                _map_stmts(it.body, mapping)) for it in stmt.items]
-            out.append(n.CaseStmt(_map_expr(stmt.subject, mapping), items, stmt.loc))
-        else:
-            out.append(stmt)
-    return out
+    return n.Range(rename(width.msb), rename(width.lsb))
 
 
 def rename_signals(mod: n.ModuleDecl, rng: np.random.Generator):
@@ -118,30 +81,31 @@ def rename_signals(mod: n.ModuleDecl, rng: np.random.Generator):
 
 
 def _apply_rename(mod: n.ModuleDecl, mapping: dict[str, str], inst_map: dict[str, str]):
+    rename = _renamer(mapping)
     for i, net in enumerate(mod.nets):
         mod.nets[i] = n.NetDecl(mapping.get(net.name, net.name), net.kind,
-                                _map_range(net.width, mapping), net.loc)
+                                _map_range(net.width, rename), net.loc)
     for i, p in enumerate(mod.params):
-        mod.params[i] = n.ParamDecl(mapping.get(p.name, p.name), _map_expr(p.value, mapping),
+        mod.params[i] = n.ParamDecl(mapping.get(p.name, p.name), rename(p.value),
                                     p.local, p.loc)
     for port in mod.ports:
-        port.width = _map_range(port.width, mapping)
+        port.width = _map_range(port.width, rename)
     for i, a in enumerate(mod.assigns):
-        mod.assigns[i] = n.ContinuousAssign(_map_expr(a.lhs, mapping), _map_expr(a.rhs, mapping), a.loc)
+        mod.assigns[i] = n.ContinuousAssign(rename(a.lhs), rename(a.rhs), a.loc)
     for blk in mod.always_blocks:
         if blk.sensitivity is not None:
             blk.sensitivity = [n.SensItem(s.edge, mapping.get(s.signal, s.signal))
                                for s in blk.sensitivity]
-        blk.body = _map_stmts(blk.body, mapping)
+        blk.body = n.map_stmts(blk.body, rename)
     for i, inst in enumerate(mod.instances):
-        conns = [(name, None if e is None else _map_expr(e, mapping)) for name, e in inst.connections]
-        overrides = [(name, _map_expr(e, mapping)) for name, e in inst.param_overrides]
+        conns = [(name, None if e is None else rename(e)) for name, e in inst.connections]
+        overrides = [(name, rename(e)) for name, e in inst.param_overrides]
         mod.instances[i] = n.Instance(inst.module_name, inst_map.get(inst.instance_name, inst.instance_name),
                                       overrides, conns, inst.loc)
     for i, gate in enumerate(mod.gates):
         name = inst_map.get(gate.instance_name, gate.instance_name) if gate.instance_name else None
         mod.gates[i] = n.GateInstance(gate.gate, name,
-                                      [_map_expr(t, mapping) for t in gate.terminals], gate.loc)
+                                      [rename(t) for t in gate.terminals], gate.loc)
 
 
 def reorder_items(mod: n.ModuleDecl, rng: np.random.Generator):
@@ -159,26 +123,23 @@ def reorder_items(mod: n.ModuleDecl, rng: np.random.Generator):
 def swap_commutative(mod: n.ModuleDecl, rng: np.random.Generator):
     """Flip operands of commutative binary operators at random."""
 
-    def swap(expr: n.Expr) -> n.Expr:
-        if isinstance(expr, n.Binary):
-            left = swap(expr.left)
-            right = swap(expr.right)
-            if expr.op in COMMUTATIVE and rng.random() < 0.5:
+    def hook(e: n.Expr, walk):
+        # Post-order, so the draws for a node's operands come before its
+        # own. Repeat counts and part-select bounds are left as they are.
+        if isinstance(e, n.Binary):
+            left = walk(e.left)
+            right = walk(e.right)
+            if e.op in COMMUTATIVE and rng.random() < 0.5:
                 left, right = right, left
-            return n.Binary(expr.loc, expr.op, left, right)
-        if isinstance(expr, n.Unary):
-            return n.Unary(expr.loc, expr.op, swap(expr.operand))
-        if isinstance(expr, n.Ternary):
-            return n.Ternary(expr.loc, swap(expr.cond), swap(expr.true), swap(expr.false))
-        if isinstance(expr, n.Concat):
-            return n.Concat(expr.loc, tuple(swap(p) for p in expr.parts))
-        if isinstance(expr, n.Repeat):
-            return n.Repeat(expr.loc, expr.count, tuple(swap(p) for p in expr.parts))
-        if isinstance(expr, n.BitSelect):
-            return n.BitSelect(expr.loc, swap(expr.base), swap(expr.index))
-        if isinstance(expr, n.PartSelect):
-            return n.PartSelect(expr.loc, swap(expr.base), expr.msb, expr.lsb)
-        return expr
+            return n.Binary(e.loc, e.op, left, right)
+        if isinstance(e, n.Repeat):
+            return n.Repeat(e.loc, e.count, tuple(walk(p) for p in e.parts))
+        if isinstance(e, n.PartSelect):
+            return n.PartSelect(e.loc, walk(e.base), e.msb, e.lsb)
+        return None
+
+    def swap(expr: n.Expr) -> n.Expr:
+        return n.map_expr(expr, hook)
 
     def swap_stmts(stmts: list) -> list:
         out = []
@@ -202,38 +163,15 @@ def swap_commutative(mod: n.ModuleDecl, rng: np.random.Generator):
 
 
 def _subexpressions(expr: n.Expr) -> list[n.Expr]:
+    # Selects and repeats are neither split out nor searched.
     found = []
     stack = [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, (n.Binary, n.Unary, n.Ternary, n.Concat)):
             found.append(e)
-        if isinstance(e, n.Unary):
-            stack.append(e.operand)
-        elif isinstance(e, n.Binary):
-            stack.extend((e.left, e.right))
-        elif isinstance(e, n.Ternary):
-            stack.extend((e.cond, e.true, e.false))
-        elif isinstance(e, n.Concat):
-            stack.extend(e.parts)
+            stack.extend(n.children(e))
     return found
-
-
-def _replace_once(expr: n.Expr, target: n.Expr, repl: n.Expr) -> n.Expr:
-    if expr is target:
-        return repl
-    if isinstance(expr, n.Unary):
-        return n.Unary(expr.loc, expr.op, _replace_once(expr.operand, target, repl))
-    if isinstance(expr, n.Binary):
-        return n.Binary(expr.loc, expr.op, _replace_once(expr.left, target, repl),
-                        _replace_once(expr.right, target, repl))
-    if isinstance(expr, n.Ternary):
-        return n.Ternary(expr.loc, _replace_once(expr.cond, target, repl),
-                         _replace_once(expr.true, target, repl),
-                         _replace_once(expr.false, target, repl))
-    if isinstance(expr, n.Concat):
-        return n.Concat(expr.loc, tuple(_replace_once(p, target, repl) for p in expr.parts))
-    return expr
 
 
 def split_assign(mod: n.ModuleDecl, rng: np.random.Generator) -> bool:
@@ -262,8 +200,8 @@ def split_assign(mod: n.ModuleDecl, rng: np.random.Generator) -> bool:
     mod.item_order.append(("net", len(mod.nets) - 1))
     mod.assigns.append(n.ContinuousAssign(n.Ident(loc, wire), target, loc))
     mod.item_order.append(("assign", len(mod.assigns) - 1))
-    mod.assigns[pick] = n.ContinuousAssign(
-        assign.lhs, _replace_once(assign.rhs, target, n.Ident(loc, wire)), assign.loc)
+    rhs = n.map_expr(assign.rhs, lambda e, walk: n.Ident(loc, wire) if e is target else None)
+    mod.assigns[pick] = n.ContinuousAssign(assign.lhs, rhs, assign.loc)
     return True
 
 

@@ -291,6 +291,29 @@ def test_compare_rejects_delta_out_of_range(corpus, checkpoint, capsys):
     assert captured.out == ""
 
 
+def test_eval_rejects_delta_out_of_range(corpus, checkpoint, tmp_path, capsys):
+    design = corpus / "andor" / "andor0.v"
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(f"a_path,b_path,label\n{design},{design},1\n")
+    code = main(["eval", "--pairs", str(manifest), "--checkpoint", str(checkpoint),
+                 "--delta", "2"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "delta" in captured.err
+    assert captured.out == ""
+
+
+def test_train_rejects_zero_epochs_before_compiling(tmp_path, capsys):
+    # The corpus does not exist, so only a check made before the corpus
+    # is read can produce the epochs message.
+    code = main(["train", "--corpus", str(tmp_path / "missing"), "--out", str(tmp_path / "m.ckpt"),
+                 "--epochs", "0"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: epochs must be at least 1" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_project_csv(corpus, checkpoint, tmp_path, capsys):
     out = tmp_path / "coords.csv"
     code = main(["project", "--corpus", str(corpus),

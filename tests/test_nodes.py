@@ -1,0 +1,64 @@
+import pytest
+
+from ipsim.errors import UnresolvedIdentifier
+from ipsim.frontend import emit_expr, parse
+from ipsim.frontend import nodes as n
+
+
+def rhs(expr: str) -> n.Expr:
+    src = f"module m(input [7:0] a, b, c, d, e, output y); assign y = {expr}; endmodule"
+    return parse(src, "<test>").modules[0].assigns[0].rhs
+
+
+def always_body(body: str) -> list:
+    src = ("module m(input [1:0] s, input a, b, c, output reg y);\n"
+           f"  always @(*) {body}\nendmodule\n")
+    return parse(src, "<test>").modules[0].always_blocks[0].body
+
+
+def label(e: n.Expr) -> str:
+    return e.name if isinstance(e, n.Ident) else type(e).__name__
+
+
+def test_iter_expr_visits_last_child_first():
+    order = [label(e) for e in n.iter_expr(rhs("a + b[c] ? {d, {2{e}}} : a[3:c]"))]
+    assert order == ["Ternary", "PartSelect", "c", "Number", "a", "Concat", "Repeat",
+                     "e", "Number", "d", "Binary", "BitSelect", "c", "b", "a"]
+
+
+def test_first_unresolved_identifier_follows_iter_expr_order():
+    with pytest.raises(UnresolvedIdentifier, match="'q'"):
+        parse("module m(output y); assign y = p + q; endmodule", "<test>")
+
+
+def test_map_expr_hook_replacement_stops_descent():
+    seen = []
+
+    def hook(e, walk):
+        seen.append(label(e))
+        if isinstance(e, n.BitSelect):
+            return n.Ident(e.loc, "z")
+        return None
+
+    out = n.map_expr(rhs("(a & b[c]) | {2{d}}"), hook)
+    assert emit_expr(out) == "a & z | {2{d}}"
+    assert seen == ["Binary", "Binary", "a", "BitSelect", "Repeat", "Number", "d"]
+
+
+def test_map_expr_without_replacement_rebuilds_an_equal_tree():
+    expr = rhs("~(a - b) ? {c, d[1:0]} : e[c]")
+    assert n.map_expr(expr, lambda e, walk: None) == expr
+
+
+def test_map_stmts_maps_case_items_before_subject():
+    body = always_body("begin if (a) y = b; case (s) 0, 1: y = c; default: y = a; endcase end")
+    seen = []
+
+    def fn(e):
+        seen.append(emit_expr(e))
+        return e
+
+    assert n.map_stmts(body, fn) == body
+    assert seen == ["a", "y", "b", "0", "1", "y", "c", "y", "a", "s"]
+    assert [emit_expr(e) for e in n.stmt_exprs(body)] == [
+        "a", "y", "b", "s", "0", "1", "y", "c", "y", "a"]

@@ -1,7 +1,8 @@
 import pytest
 
-from ipsim.errors import PreprocessError
+from ipsim.errors import PipelineError, PreprocessError
 from ipsim.frontend import SourceUnit, preprocess, preprocess_text, strip_comments
+from ipsim.pipeline import compile_text
 
 
 def test_strip_comments_line_and_block():
@@ -87,3 +88,14 @@ def test_circular_include_is_error(tmp_path):
 def test_empty_unit_rejected():
     with pytest.raises(PreprocessError):
         SourceUnit(files=[])
+
+
+@pytest.mark.parametrize("source", [
+    "`timescale 1ns/1ps\n\n// adder\nmodule m(input a, output y);\n"
+    "  wire t;\n  assign t = a;\n  assign y = t +;\nendmodule\n",
+    "`define W \\\n  1\n`ifdef MISSING\n  junk here\n`endif\n"
+    "module m(input a, output y);\n  assign y = a +;\nendmodule\n",
+], ids=["blank-and-comment", "continuation-and-inactive-branch"])
+def test_parse_errors_keep_source_line_numbers(source):
+    with pytest.raises(PipelineError, match="t.v:7:17: expected an expression"):
+        compile_text(source, "t.v")

@@ -1,3 +1,8 @@
+import re
+import shutil
+import subprocess
+import sys
+
 import pytest
 
 from conftest import CORPUS_ROOT, FULL_ADDER
@@ -66,3 +71,18 @@ def test_shipped_variants_match_their_seeds():
     for path in variants:
         got = compile_text(path.read_text(), path=str(path))
         assert is_isomorphic(original, got), path.name
+
+
+def test_build_desk_corpus_reproduces_shipped_variants(tmp_path):
+    # The shipped variant files pin every random draw of the generator.
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS_ROOT, root)
+    script = CORPUS_ROOT.parent / "scripts" / "build_desk_corpus.py"
+    proc = subprocess.run([sys.executable, str(script), "--root", str(root)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    written = proc.stdout.split()
+    assert written and all(re.search(r"_v\d+\.v$", name) for name in written)
+    shipped = sorted(p.relative_to(CORPUS_ROOT) for p in CORPUS_ROOT.rglob("*.v"))
+    assert sorted(p.relative_to(root) for p in root.rglob("*.v")) == shipped
+    for rel in shipped:
+        assert (root / rel).read_bytes() == (CORPUS_ROOT / rel).read_bytes(), rel
