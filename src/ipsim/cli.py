@@ -17,11 +17,8 @@ import numpy as np
 
 from ipsim import __version__
 from ipsim.corpus import (
-    DesignEntry,
     flatten_families,
-    group_families,
-    load_graphs,
-    make_pairs,
+    load_corpus,
     read_pair_manifest,
     scan_corpus,
     split_pairs,
@@ -34,7 +31,7 @@ from ipsim.errors import IpsimError
 from ipsim.model import Hyper, embed
 from ipsim.pipeline import compile_design
 from ipsim.project import pca_project, projection_csv
-from ipsim.train import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train, write_trace
+from ipsim.train import TrainConfig, evaluate, fit, load_checkpoint, write_trace
 from ipsim.variants import synthesize_variants
 
 EXIT_OK = 0
@@ -97,27 +94,20 @@ def _add_corpus_args(sub, required: bool = True):
     sub.add_argument("--manifest", help="design manifest: 'family_id, path, rtl|netlist' lines")
     sub.add_argument("--mix-abstractions", action="store_true",
                      help="pair RTL designs with netlist designs too")
-    return group
 
 
-def _corpus_families(args):
-    if getattr(args, "manifest", None):
-        return scan_corpus(args.corpus or ".", manifest=args.manifest)
-    if not args.corpus:
+def _load_corpus(args, timer: _Timer):
+    """Load the --corpus/--manifest designs, skipping out-of-subset ones."""
+    if not (args.corpus or args.manifest):
         raise IpsimError("need --corpus or --manifest")
-    return scan_corpus(args.corpus)
+    families = scan_corpus(args.corpus, manifest=args.manifest)
 
-
-def _encode_corpus(entries: list[DesignEntry], timer: _Timer):
     def warn_skip(entry, exc):
         print(f"skipping {entry.path}: {exc.cause}", file=sys.stderr)
 
-    graphs = load_graphs(entries, on_skip=warn_skip)
-    timer.lap("compile", len(entries))
-    kept = [e for e in entries if e.name in graphs]
-    tensors = {name: encode(g) for name, g in graphs.items()}
-    timer.lap("encode", len(kept))
-    return kept, graphs, tensors
+    corpus = load_corpus(flatten_families(families), args.mix_abstractions, on_skip=warn_skip)
+    timer.lap("load", len(corpus.entries))
+    return corpus
 
 
 def _print_stats(graph):
@@ -171,15 +161,12 @@ def cmd_train(args) -> int:
                          margin=args.margin, delta=args.delta, seed=args.seed,
                          patience=args.patience if args.patience >= 0 else None,
                          optimizer=args.optimizer)
-    families = _corpus_families(args)
-    entries = flatten_families(families)
-    kept, _, tensors = _encode_corpus(entries, timer)
-    pairs = make_pairs_from_kept(kept, args.mix_abstractions)
-    train_pairs, test_pairs = split_pairs(pairs, args.test_fraction, seed=args.seed)
-    print(f"designs: {len(kept)}  pairs: {len(pairs)} "
+    corpus = _load_corpus(args, timer)
+    train_pairs, test_pairs = split_pairs(corpus.pairs, args.test_fraction, seed=args.seed)
+    print(f"designs: {len(corpus.entries)}  pairs: {len(corpus.pairs)} "
           f"(train {len(train_pairs)}, test {len(test_pairs)})")
     if args.pairs_out:
-        paths = {e.name: e.path for e in kept}
+        paths = {e.name: e.path for e in corpus.entries}
         write_pair_manifest(args.pairs_out, train_pairs + test_pairs, paths)
 
     def log(row):
@@ -188,29 +175,14 @@ def cmd_train(args) -> int:
             print(f"epoch {row.epoch:3d}  loss {row.train_loss:.6f}  "
                   f"train_acc {row.train_acc:.4f}  test_acc {test}")
 
-    result = train(tensors, [p.as_tuple() for p in train_pairs],
-                   [p.as_tuple() for p in test_pairs], hyper, config, log=log)
+    result, data = fit(corpus, train_pairs, test_pairs, hyper, config, log=log)
     timer.lap("train", len(train_pairs) * len(result.trace))
-    meta = {
-        "seed": args.seed,
-        "epochs_run": len(result.trace),
-        "best_epoch": result.best_epoch,
-        "designs": len(kept),
-        "train_pairs": len(train_pairs),
-        "test_pairs": len(test_pairs),
-    }
-    data = save_checkpoint(None, result.params, hyper, meta)
     atomic_write(args.out, data)
     print(f"saved {args.out} (best epoch {result.best_epoch})")
     if args.trace:
         write_trace(args.trace, result.trace)
     timer.lap("write")
     return EXIT_OK
-
-
-def make_pairs_from_kept(kept: list[DesignEntry], mix: bool):
-    """Pair only the designs that survived compilation."""
-    return make_pairs(group_families(kept), mix_abstractions=mix)
 
 
 def _embed_file(path, top, params, hyper):
@@ -270,25 +242,23 @@ def cmd_eval(args) -> int:
         emb_of = _manifest_embedder(args.pairs, params, hyper)
         scores = [cosine_similarity(emb_of(p.a), emb_of(p.b)) for p in pairs]
     else:
-        families = _corpus_families(args)
-        kept, _, tensors = _encode_corpus(flatten_families(families), timer)
-        pairs = make_pairs_from_kept(kept, args.mix_abstractions)
+        corpus = _load_corpus(args, timer)
+        pairs = corpus.pairs
         if args.split != "all":
             train_pairs, test_pairs = split_pairs(pairs, args.test_fraction, seed=args.seed)
             pairs = test_pairs if args.split == "test" else train_pairs
-        _, scores = evaluate(params, hyper, tensors,
+        _, scores = evaluate(params, hyper, corpus.tensors,
                              [p.as_tuple() for p in pairs], args.delta)
     if not pairs:
         raise IpsimError("no pairs to evaluate")
     timer.lap("score", len(pairs))
     labels = [p.label for p in pairs]
-    tp = sum(1 for l, s in zip(labels, scores) if l == 1 and s > args.delta)
-    fn = sum(1 for l, s in zip(labels, scores) if l == 1 and s <= args.delta)
-    tn = sum(1 for l, s in zip(labels, scores) if l == -1 and s <= args.delta)
-    fp = sum(1 for l, s in zip(labels, scores) if l == -1 and s > args.delta)
-    acc = (tp + tn) / len(pairs)
     pos = [s for l, s in zip(labels, scores) if l == 1]
     neg = [s for l, s in zip(labels, scores) if l == -1]
+    tp = sum(s > args.delta for s in pos)
+    tn = sum(s <= args.delta for s in neg)
+    fn, fp = len(pos) - tp, len(neg) - tn
+    acc = (tp + tn) / len(pairs)
     print(f"pairs: {len(pairs)} (+{len(pos)} / -{len(neg)})")
     print(f"accuracy at delta={args.delta}: {acc:.4f}")
     print(f"confusion: TP={tp} TN={tn} FP={fp} FN={fn}")
@@ -300,26 +270,23 @@ def cmd_eval(args) -> int:
         best_delta, best_acc = sweep_delta(labels, scores)
         print(f"best delta: {best_delta:.2f} (accuracy {best_acc:.4f})")
     if args.out:
+        verdicts = [Verdict(p.a, p.b, s, args.delta) for p, s in zip(pairs, scores)]
         if args.format == "csv":
-            rows = ["a,b,score,delta,label"]
-            for p, s in zip(pairs, scores):
-                verdict = Verdict(p.a, p.b, s, args.delta)
-                rows.append(f"{p.a},{p.b},{s:.10g},{args.delta},{verdict.label}")
-            atomic_write(args.out, "\n".join(rows) + "\n")
+            lines = ["a,b,score,delta,label"] + [
+                f"{v.a},{v.b},{v.score:.10g},{v.delta},{v.label}" for v in verdicts]
         else:
-            lines = [Verdict(p.a, p.b, s, args.delta).to_json() for p, s in zip(pairs, scores)]
-            atomic_write(args.out, "\n".join(lines) + "\n")
+            lines = [v.to_json() for v in verdicts]
+        atomic_write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
     timer = _Timer(args.timing)
     params, hyper, _ = load_checkpoint(args.checkpoint)
-    families = _corpus_families(args)
-    kept, _, tensors = _encode_corpus(flatten_families(families), timer)
-    names = [e.name for e in kept]
-    fams = [e.family for e in kept]
-    matrix = np.stack([embed(params, tensors[name], hyper) for name in names])
+    corpus = _load_corpus(args, timer)
+    names = [e.name for e in corpus.entries]
+    fams = [e.family for e in corpus.entries]
+    matrix = np.stack([embed(params, corpus.tensors[name], hyper) for name in names])
     projection = pca_project(matrix, k=2)
     timer.lap("project", len(names))
     atomic_write(args.out, projection_csv(names, fams, projection.coords))

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from ipsim.dfg import Graph
+from ipsim.encode import GraphTensors, encode
 from ipsim.errors import CorpusError, PipelineError, UnsupportedConstruct
 from ipsim.pipeline import compile_design
 
@@ -141,6 +143,30 @@ def load_graphs(entries: list[DesignEntry], trimmed: bool = True,
                 continue
             raise
     return graphs
+
+
+@dataclass
+class Corpus:
+    entries: list[DesignEntry]          # the designs that compiled, in order
+    graphs: dict[str, Graph]
+    tensors: dict[str, GraphTensors]
+    mix_abstractions: bool = False
+
+    @cached_property
+    def pairs(self) -> list[PairRecord]:
+        """Labeled pairs of the compiled designs, built on first use so a
+        one-family corpus still loads for projection."""
+        return make_pairs(group_families(self.entries), self.mix_abstractions)
+
+
+def load_corpus(entries: list[DesignEntry], mix_abstractions: bool = False,
+                on_skip=None) -> Corpus:
+    """Compile and encode every entry; skipped designs (see load_graphs)
+    are left out of the kept entries and of the pairs."""
+    graphs = load_graphs(entries, on_skip=on_skip)
+    kept = [e for e in entries if e.name in graphs]
+    tensors = {name: encode(g) for name, g in graphs.items()}
+    return Corpus(kept, graphs, tensors, mix_abstractions)
 
 
 def make_pairs(families: list[DesignFamily],

@@ -88,20 +88,6 @@ class Graph:
             counts[node.kind] = counts.get(node.kind, 0) + 1
         return counts
 
-    def has_path(self, src: int, dst: int) -> bool:
-        succ = self.successors()
-        seen = {src}
-        stack = [src]
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            for nxt in succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
 
 class _Sym:
     """Operator node in a symbolic driver tree. Shared subtrees are

@@ -4,7 +4,8 @@ Pairs carry labels +1 (same source design) or -1 (unrelated). The loss
 is the cosine embedding hinge: positive pairs pay 1 - score, negative
 pairs pay max(0, score - margin). Batches group their pairs by design
 so each design is embedded once per batch with one dropout draw, and
-gradient flows back through that single forward pass.
+gradient flows back through that single forward pass. ``fit`` runs one
+experiment on a loaded corpus and returns its checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ipsim.detect import check_delta
 from ipsim.encode import VOCAB_VERSION, GraphTensors
 from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
 from ipsim.model import (
@@ -31,6 +33,11 @@ from ipsim.model import (
 )
 
 Pair = tuple[str, str, int]
+
+MOMENTUM = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def cosine_embedding_loss(score: float, label: int, margin: float = 0.5) -> float:
@@ -68,12 +75,9 @@ class TrainConfig:
     patience: int | None = 10
     shuffle: bool = True
     optimizer: str = "sgd"          # sgd | momentum | adam
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
+        check_delta(self.delta)
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -116,20 +120,20 @@ class _Optimizer:
             return
         if cfg.optimizer == "momentum":
             for vel, g, w in zip(self.velocity.arrays(), grads.arrays(), params.arrays()):
-                vel *= cfg.momentum
+                vel *= MOMENTUM
                 vel += g
                 w -= cfg.lr * vel
             return
         t = self.step_count
         for m, v, g, w in zip(self.first.arrays(), self.second.arrays(),
                               grads.arrays(), params.arrays()):
-            m *= cfg.adam_beta1
-            m += (1 - cfg.adam_beta1) * g
-            v *= cfg.adam_beta2
-            v += (1 - cfg.adam_beta2) * g * g
-            m_hat = m / (1 - cfg.adam_beta1 ** t)
-            v_hat = v / (1 - cfg.adam_beta2 ** t)
-            w -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            w -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _check_pairs(graphs: dict[str, GraphTensors], pairs: list[Pair]):
@@ -218,6 +222,18 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
 
     return TrainResult(params=best_params, trace=trace,
                        best_epoch=best_epoch, stopped_early=stopped_early)
+
+
+def fit(corpus, train_pairs, test_pairs, hyper: Hyper, config: TrainConfig,
+        log=None) -> tuple[TrainResult, bytes]:
+    """Train on the tensors of a loaded ``ipsim.corpus.Corpus`` with its
+    PairRecords; return the result and the checkpoint bytes."""
+    result = train(corpus.tensors, [p.as_tuple() for p in train_pairs],
+                   [p.as_tuple() for p in test_pairs], hyper, config, log=log)
+    meta = {"seed": config.seed, "epochs_run": len(result.trace),
+            "best_epoch": result.best_epoch, "designs": len(corpus.entries),
+            "train_pairs": len(train_pairs), "test_pairs": len(test_pairs)}
+    return result, save_checkpoint(None, result.params, hyper, meta)
 
 
 def _train_batch(params: ModelParams, optimizer: _Optimizer,

@@ -62,10 +62,11 @@ def _map_range(width: n.Range | None, rename) -> n.Range | None:
 
 
 def rename_signals(mod: n.ModuleDecl, rng: np.random.Generator):
-    """Give every non-port declared name a fresh machine name."""
+    """Give a fresh machine name to every declared name except the module's
+    interface: its ports and the parameters a parent may override by name."""
     port_names = {p.name for p in mod.ports}
     old = sorted(name for name in
-                 ({d.name for d in mod.nets} | {p.name for p in mod.params})
+                 ({d.name for d in mod.nets} | {p.name for p in mod.params if p.local})
                  if name not in port_names)
     taken = _module_names(mod)
     numbers = rng.permutation(len(old) * 3 + 7)[:len(old)]

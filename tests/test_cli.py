@@ -272,6 +272,7 @@ def test_manifest_refs_resolve_against_manifest_dir(corpus, checkpoint, tmp_path
     ("--pool-ratio", "0", "pool_ratio"),
     ("--batch-size", "0", "batch size"),
     ("--hidden", "0", "hidden_dim"),
+    ("--delta", "2", "delta"),
 ])
 def test_train_bad_settings_are_input_errors(corpus, tmp_path, capsys, flag, value, message):
     code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt"),

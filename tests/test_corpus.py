@@ -5,6 +5,7 @@ import pytest
 
 from ipsim.corpus import (
     group_families,
+    load_corpus,
     load_graphs,
     make_pairs,
     read_manifest,
@@ -195,6 +196,16 @@ def test_load_graphs_compiles_and_skips(tmp_path):
     assert set(graphs) == {e.name for e in entries} - {"famB:rtl:three"}
     for graph in graphs.values():
         assert graph.num_nodes > 0
+
+    corpus = load_corpus(entries, on_skip=lambda e, exc: None)
+    assert [e.name for e in corpus.entries] == [e.name for e in entries if e.name in graphs]
+    assert set(corpus.tensors) == set(corpus.graphs) == set(graphs)
+    assert len(corpus.pairs) == comb(4, 2) + 1  # four RTL designs left, two netlists
+    # Pairs are built on first use: one family still loads, for projection.
+    one_family = load_corpus([e for e in entries if e.family == "famA"])
+    assert len(one_family.tensors) == 4
+    with pytest.raises(CorpusError, match="two families"):
+        one_family.pairs
 
 
 def test_shipped_corpus_is_large_enough(corpus_root):

@@ -61,6 +61,28 @@ def test_variant_keeps_port_names():
     assert inputs == {"Num1", "Num2", "Cin"}
 
 
+NAMED_OVERRIDE = """
+module sub #(parameter W = 4) (input [W-1:0] a, input [W-1:0] b, output [W-1:0] y);
+  wire [W-1:0] t;
+  assign t = a & b;
+  assign y = t ^ a;
+endmodule
+
+module top(input [7:0] x, input [7:0] z, output [7:0] o);
+  sub #(.W(8)) u0 (.a(x), .b(z), .y(o));
+endmodule
+"""
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_variants_keep_overridable_parameter_names(seed):
+    # `sub #(.W(8))` names W from outside the module, so renaming W inside
+    # `sub` would leave the override dangling.
+    original = compile_text(NAMED_OVERRIDE)
+    for index, text in enumerate(synthesize_variants(NAMED_OVERRIDE, count=3, seed=seed)):
+        assert is_isomorphic(original, compile_text(text)), f"variant {index} diverged"
+
+
 def test_shipped_variants_match_their_seeds():
     # Spot-check one shipped family: every generated variant file must
     # stay graph-equivalent to the design it was derived from.
