@@ -88,10 +88,10 @@ def _parse_defines(items: list[str] | None) -> dict[str, str]:
     return defines
 
 
-def _add_corpus_args(sub, required: bool = True):
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--corpus", help="corpus root directory (family/*.v)")
-    sub.add_argument("--manifest", help="design manifest: 'family_id, path, rtl|netlist' lines")
+def _add_corpus_args(sub):
+    sub.add_argument("--corpus", help="corpus root directory (family/*.v)")
+    sub.add_argument("--manifest", help="design manifest: 'family_id, path, rtl|netlist' lines;"
+                     " overrides --corpus")
     sub.add_argument("--mix-abstractions", action="store_true",
                      help="pair RTL designs with netlist designs too")
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_eval = subs.add_parser("eval", help="score labeled pairs with a trained model")
-    _add_corpus_args(p_eval, required=False)
+    _add_corpus_args(p_eval)
     p_eval.add_argument("--pairs", help="pair manifest CSV instead of a corpus")
     p_eval.add_argument("--checkpoint", "--model", dest="checkpoint", required=True)
     p_eval.add_argument("--delta", type=float, default=DEFAULT_DELTA)

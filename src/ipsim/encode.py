@@ -1,9 +1,14 @@
 """Graph to tensor encoding.
 
-Features are one-hot node kinds over the fixed vocabulary. The message
-passing operator is the symmetric degree-normalized adjacency with self
-loops. Everything is float64; graphs past the sparse threshold switch
-to CSR so netlist-sized designs stay cheap.
+Features are one-hot node kinds over the fixed vocabulary, stored as
+booleans: a packed training batch holds the features of dozens of
+designs at once, and the model's float64 products read them exactly.
+The message passing operator is the symmetric degree-normalized
+adjacency with self loops, in float64; graphs past the sparse threshold
+switch to CSR so netlist-sized designs stay cheap. ``pack`` lays a list
+of graphs out as one block-diagonal batch (stacked features, one CSR
+propagation matrix, segment offsets) and ``take`` gathers a sub-batch
+of a pack, so training embeds a mini-batch in one model pass.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ SPARSE_THRESHOLD = 512
 
 @dataclass
 class GraphTensors:
-    """Model-ready view of one graph."""
+    """Model-ready view of one graph, or of a packed batch of graphs."""
 
     name: str
-    x: np.ndarray                      # (n, FEATURE_DIM) one-hot kinds
-    p: np.ndarray | sp.csr_matrix     # (n, n) normalized adjacency
+    x: np.ndarray                      # (n, FEATURE_DIM) one-hot kinds, bool
+    p: np.ndarray | sp.csr_matrix     # (n, n) normalized adjacency, symmetric
+    offsets: np.ndarray | None = None  # packs only: each graph's first row, then n
 
     @property
     def num_nodes(self) -> int:
@@ -39,10 +45,10 @@ class GraphTensors:
 
 
 def one_hot_features(graph: Graph) -> np.ndarray:
-    x = np.zeros((graph.num_nodes, FEATURE_DIM), dtype=np.float64)
+    x = np.zeros((graph.num_nodes, FEATURE_DIM), dtype=bool)
     unknown = KIND_INDEX["Unknown"]
     for node in graph.nodes:
-        x[node.id, KIND_INDEX.get(node.kind, unknown)] = 1.0
+        x[node.id, KIND_INDEX.get(node.kind, unknown)] = True
     return x
 
 
@@ -93,3 +99,47 @@ def encode(graph: Graph) -> GraphTensors:
         x=one_hot_features(graph),
         p=normalize_adjacency(adjacency(graph, sparse=sparse)),
     )
+
+
+def _entries(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzeros of a propagation
+    matrix, dense or CSR, in row-major order."""
+    if sp.issparse(p):
+        coo = p.tocoo()
+        return coo.row, coo.col, coo.data
+    rows, cols = np.nonzero(p)
+    return rows, cols, p[rows, cols]
+
+
+def pack(tensors: list[GraphTensors]) -> GraphTensors:
+    """Block-diagonal batch of the graphs in list order."""
+    offsets = np.cumsum([0] + [t.num_nodes for t in tensors])
+    entries = [_entries(t.p) for t in tensors]
+    rows = np.concatenate([r + first for (r, _, _), first in zip(entries, offsets)])
+    cols = np.concatenate([c + first for (_, c, _), first in zip(entries, offsets)])
+    size = int(offsets[-1])
+    # The entries are row-major, so each row's count gives the row pointers.
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    p = sp.csr_matrix((np.concatenate([v for _, _, v in entries]), cols, indptr),
+                      shape=(size, size))
+    return GraphTensors(name="pack", x=np.concatenate([t.x for t in tensors]), p=p,
+                        offsets=offsets)
+
+
+def take(packed: GraphTensors, which: np.ndarray) -> GraphTensors:
+    """The graphs at positions ``which`` of a pack, as a pack in that
+    order, gathered by index arithmetic: each graph's rows, and the CSR
+    entries of those rows, move as one block, and a block's column
+    indices shift with its first row."""
+    starts = packed.offsets[which]
+    sizes = packed.offsets[which + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    shift = np.repeat(starts - offsets[:-1], sizes)
+    rows = np.arange(offsets[-1]) + shift
+    first, counts = packed.p.indptr[rows], np.diff(packed.p.indptr)[rows]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    src = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
+    size = int(offsets[-1])
+    p = sp.csr_matrix((packed.p.data[src], packed.p.indices[src] - np.repeat(shift, counts),
+                       indptr), shape=(size, size))
+    return GraphTensors(name=packed.name, x=packed.x[rows], p=p, offsets=offsets)

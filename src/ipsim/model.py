@@ -5,6 +5,12 @@ global readout. ``forward`` is built from ``gcn_layer``, ``sag_pool``
 and ``readout``; ``backward`` is its exact gradient in numpy, with the
 top-k selection treated as locally constant and max readout routing
 gradient to the first maximal row per column.
+
+Both run on one graph or on a pack of graphs (``ipsim.encode.pack``):
+a block-diagonal propagation matrix keeps the graphs apart in the
+convolutions, and the segment offsets keep them apart in pooling and
+readout. A single graph is a batch of one whose embedding is a vector;
+a pack gives one embedding row per graph.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ def gcn_layer(p, x: np.ndarray, w: np.ndarray, activate: bool = True) -> np.ndar
     """One propagation step: relu(P X W), relu optional."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"features {x.shape} incompatible with weight {w.shape}")
-    z = (p @ x) @ w
+    z = np.asarray(p @ (x @ w))
     return np.maximum(z, 0.0) if activate else z
 
 
@@ -100,34 +106,53 @@ class PoolResult:
     alpha: np.ndarray         # raw attention scores, all nodes
     gate: np.ndarray          # tanh(alpha) on kept nodes
     x: np.ndarray             # gated features of kept nodes
-    prop: np.ndarray          # P @ x, the scorer's input
+    offsets: np.ndarray | None = None  # segment offsets of the kept rows (packs)
 
 
-def top_k_indices(alpha: np.ndarray, ratio: float) -> np.ndarray:
-    """Indices of the ceil(ratio*n) largest scores; ties favor the lower
-    node id; result sorted ascending."""
-    count = alpha.shape[0]
-    k = min(max(int(math.ceil(ratio * count)), 1), count)
-    order = np.lexsort((np.arange(count), -alpha))
-    return np.sort(order[:k])
+def _bounds(offsets: np.ndarray | None, count: int) -> np.ndarray:
+    """Segment offsets; None stands for one segment of ``count`` rows."""
+    return np.array([0, count]) if offsets is None else offsets
 
 
-def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float) -> PoolResult:
-    prop = np.asarray(p @ x)
-    alpha = (prop @ score).ravel()
-    sel = top_k_indices(alpha, ratio)
+def top_k_indices(alpha: np.ndarray, ratio: float,
+                  offsets: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the ceil(ratio*n) largest scores of each segment of n
+    rows; ties favor the lower node id; result sorted ascending."""
+    bounds = _bounds(offsets, alpha.shape[0])
+    sizes = np.diff(bounds)
+    keep = np.minimum(np.maximum(np.ceil(ratio * sizes).astype(np.int64), 1), sizes)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    position = np.arange(alpha.shape[0])
+    order = np.lexsort((position, -alpha, segment))
+    # ``order`` keeps every segment on its own rows, so a row's rank in
+    # its segment is its distance from the segment's first row.
+    return np.sort(order[position - bounds[segment] < keep[segment]])
+
+
+def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float,
+             offsets: np.ndarray | None = None) -> PoolResult:
+    alpha = np.asarray(p @ (x @ score)).ravel()
+    sel = top_k_indices(alpha, ratio, offsets)
     gate = np.tanh(alpha[sel])
-    return PoolResult(selected=sel, alpha=alpha, gate=gate, x=x[sel] * gate[:, None], prop=prop)
+    kept = None if offsets is None else np.searchsorted(sel, offsets)
+    return PoolResult(selected=sel, alpha=alpha, gate=gate, x=x[sel] * gate[:, None],
+                      offsets=kept)
 
 
-def readout(x: np.ndarray, mode: str = "max") -> np.ndarray:
+def readout(x: np.ndarray, mode: str = "max", offsets: np.ndarray | None = None) -> np.ndarray:
+    """Reduce each segment's rows to one: a vector for one graph, one
+    row per graph for a pack."""
+    bounds = _bounds(offsets, x.shape[0])
     if mode == "max":
-        return x.max(axis=0)
-    if mode == "mean":
-        return x.mean(axis=0)
-    if mode == "sum":
-        return x.sum(axis=0)
-    raise ValueError(f"unknown readout {mode!r}")
+        out = np.maximum.reduceat(x, bounds[:-1], axis=0)
+    elif mode == "mean":
+        out = np.add.reduceat(x, bounds[:-1], axis=0) / np.diff(bounds)[:, None]
+    elif mode == "sum":
+        out = np.add.reduceat(x, bounds[:-1], axis=0)
+    else:
+        raise ValueError(f"unknown readout {mode!r}")
+    # A copy, so that a kept vector does not keep its (1, d) base alive.
+    return out[0].copy() if offsets is None else out
 
 
 @dataclass
@@ -143,16 +168,14 @@ class ForwardCache:
 
 
 def make_dropout_masks(hyper: Hyper, num_nodes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One keep/drop mask per conv layer, drawn in layer order."""
-    return [
-        (rng.random((num_nodes, dout)) >= hyper.dropout).astype(np.float64)
-        for _, dout in hyper.layer_dims()
-    ]
+    """One boolean keep mask per conv layer, drawn in layer order."""
+    return [rng.random((num_nodes, dout)) >= hyper.dropout for _, dout in hyper.layer_dims()]
 
 
 def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
             masks: list[np.ndarray] | None = None) -> ForwardCache:
-    """Embed one graph. Passing masks enables (inverted) dropout."""
+    """Embed one graph or each graph of a pack. Passing masks (rows as
+    in ``gt``) enables (inverted) dropout."""
     if gt.x.shape[1] != hyper.feat_dim:
         raise ShapeMismatch(f"expected {hyper.feat_dim} features, got {gt.x.shape[1]}")
     if len(params.weights) != hyper.num_layers:
@@ -165,11 +188,12 @@ def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
         z = gcn_layer(gt.p, h, w, activate=False)
         h = np.maximum(z, 0.0)
         if masks is not None and hyper.dropout > 0.0:
-            h = h * masks[l] / keep
+            h *= masks[l]
+            h /= keep
         cache.pre_act.append(z)
         cache.hidden.append(h)
-    cache.pool = sag_pool(gt.p, h, params.score, hyper.pool_ratio)
-    cache.embedding = readout(cache.pool.x, hyper.readout)
+    cache.pool = sag_pool(gt.p, h, params.score, hyper.pool_ratio, gt.offsets)
+    cache.embedding = readout(cache.pool.x, hyper.readout, cache.pool.offsets)
     return cache
 
 
@@ -180,42 +204,54 @@ def embed(params: ModelParams, gt: GraphTensors, hyper: Hyper) -> np.ndarray:
 
 def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
              d_embedding: np.ndarray) -> ModelParams:
-    """Exact gradient of the embedding against every parameter.
+    """Exact gradient of the embedding against every parameter; for a
+    pack, the sum over its graphs of each graph's gradient, with one
+    ``d_embedding`` row per graph.
 
     Top-k selection is piecewise constant, so its gradient contribution
-    is zero; max readout sends gradient to the first argmax row.
+    is zero; max readout sends gradient to the first maximal row of each
+    segment and column, so ties, all-zero columns included, go to the
+    lower row.
     """
     gt = cache.tensors
     pool = cache.pool
     sel = pool.selected
     k, dim = pool.x.shape
+    bounds = _bounds(pool.offsets, k)
+    sizes = np.diff(bounds)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    d_out = d_embedding.reshape(sizes.size, dim)
 
-    d_xpool = np.zeros((k, dim))
     if hyper.readout == "max":
-        d_xpool[pool.x.argmax(axis=0), np.arange(dim)] = d_embedding
+        is_max = pool.x == cache.embedding.reshape(sizes.size, dim)[segment]
+        rows = np.where(is_max, np.arange(k)[:, None], k)
+        d_xpool = np.zeros((k, dim))
+        d_xpool[np.minimum.reduceat(rows, bounds[:-1], axis=0), np.arange(dim)] = d_out
     elif hyper.readout == "mean":
-        d_xpool[:] = d_embedding / k
+        d_xpool = d_out[segment] / sizes[segment, None]
     else:
-        d_xpool[:] = d_embedding
+        d_xpool = d_out[segment]
 
-    h_top = cache.hidden[-1]
-    d_h = np.zeros_like(h_top)
-    d_h[sel] += d_xpool * pool.gate[:, None]
-    d_gate = (d_xpool * h_top[sel]).sum(axis=1)
+    d_gate = (d_xpool * cache.hidden[-1][sel]).sum(axis=1)
     d_alpha = np.zeros(gt.num_nodes)
     d_alpha[sel] = d_gate * (1.0 - pool.gate ** 2)
 
+    # P is symmetric, so P^T d = P d, and (P h)^T d = h^T (P d): each
+    # step propagates its output gradient once.
     grads = zeros_like_params(params)
-    grads.score[:] = pool.prop.T @ d_alpha[:, None]
-    d_prop_pool = d_alpha[:, None] * params.score.ravel()[None, :]
-    d_h += np.asarray(gt.p.T @ d_prop_pool)
+    d_prop = np.asarray(gt.p @ d_alpha)[:, None]
+    grads.score[:] = cache.hidden[-1].T @ d_prop
+    d_h = d_prop * params.score.ravel()
+    d_h[sel] += d_xpool * pool.gate[:, None]
 
     keep = 1.0 - hyper.dropout
     for l in range(hyper.num_layers - 1, -1, -1):
         if cache.masks is not None and hyper.dropout > 0.0:
-            d_h = d_h * cache.masks[l] / keep
-        d_z = d_h * (cache.pre_act[l] > 0.0)
-        grads.weights[l][:] = np.asarray(gt.p @ cache.hidden[l]).T @ d_z
-        d_prop = d_z @ params.weights[l].T
-        d_h = np.asarray(gt.p.T @ d_prop)
+            d_h *= cache.masks[l]
+            d_h /= keep
+        d_h *= cache.pre_act[l] > 0.0
+        d_prop = np.asarray(gt.p @ d_h)
+        grads.weights[l][:] = cache.hidden[l].T @ d_prop
+        if l:  # the features need no gradient
+            d_h = d_prop @ params.weights[l].T
     return grads

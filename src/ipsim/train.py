@@ -2,26 +2,31 @@
 
 Pairs carry labels +1 (same source design) or -1 (unrelated). The loss
 is the cosine embedding hinge: positive pairs pay 1 - score, negative
-pairs pay max(0, score - margin). Batches group their pairs by design
-so each design is embedded once per batch with one dropout draw, and
-gradient flows back through that single forward pass. ``fit`` runs one
-experiment on a loaded corpus and returns its checkpoint bytes.
+pairs pay max(0, score - margin). ``train`` packs the designs of the
+training pairs once (``ipsim.encode.pack``); each mini-batch gathers
+the designs its pairs name from that pack, in sorted-name order, and
+embeds them all in one packed forward pass, so each design is embedded
+once per batch. The batch's dropout masks come from one generator per
+batch, seeded with (seed, epoch, batch number) and drawn in packed row
+order. The pair losses and their gradients are computed for the whole
+batch at once, and one packed backward pass returns the batch gradient.
+``evaluate`` likewise embeds every design it scores in one pass.
+``fit`` runs one experiment on a loaded corpus and returns its
+checkpoint bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ipsim.detect import check_delta
-from ipsim.encode import VOCAB_VERSION, GraphTensors
+from ipsim.encode import VOCAB_VERSION, GraphTensors, pack, take
 from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
 from ipsim.model import (
-    ForwardCache,
     Hyper,
     ModelParams,
     add_scaled,
@@ -50,18 +55,23 @@ def cosine_embedding_loss(score: float, label: int, margin: float = 0.5) -> floa
     raise ValueError(f"pair label must be +1 or -1, got {label}")
 
 
-def _cosine_grads(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        # A zero embedding means every active unit was gated off (relu or
-        # dropout), so no gradient can reach the parameters through this
-        # design anyway; score 0 with zero grads is the exact subgradient.
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    score = float(np.dot(a, b)) / (norm_a * norm_b)
-    d_a = (b / norm_b - score * a / norm_a) / norm_a
-    d_b = (a / norm_a - score * b / norm_b) / norm_b
-    return score, d_a, d_b
+def _cosine_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine score of each row pair of two row-stacked embedding arrays,
+    with its gradient against either row."""
+    norm_a = np.linalg.norm(a, axis=1, keepdims=True)
+    norm_b = np.linalg.norm(b, axis=1, keepdims=True)
+    # A zero embedding means every active unit was gated off (relu or
+    # dropout), so no gradient can reach the parameters through this
+    # design anyway; score 0 with zero grads is the exact subgradient. A
+    # NaN norm stays live, so a non-finite embedding gives a NaN score.
+    live = (norm_a != 0.0) & (norm_b != 0.0)
+    norm_a = np.where(live, norm_a, 1.0)
+    norm_b = np.where(live, norm_b, 1.0)
+    unit_a, unit_b = a / norm_a, b / norm_b
+    score = np.where(live, (unit_a * unit_b).sum(axis=1, keepdims=True), 0.0)
+    d_a = np.where(live, (unit_b - score * unit_a) / norm_a, 0.0)
+    d_b = np.where(live, (unit_a - score * unit_b) / norm_b, 0.0)
+    return score.ravel(), d_a, d_b
 
 
 @dataclass
@@ -146,24 +156,28 @@ def _check_pairs(graphs: dict[str, GraphTensors], pairs: list[Pair]):
             raise ValueError(f"pair label must be +1 or -1, got {label!r}")
 
 
+def _index_pairs(pairs: list[Pair]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted names the pairs use, and each pair's two positions in
+    that list and its label, as arrays."""
+    names = sorted({name for a, b, _ in pairs for name in (a, b)})
+    position = {name: i for i, name in enumerate(names)}
+    index = np.array([(position[a], position[b], label) for a, b, label in pairs],
+                     dtype=np.int64).reshape(-1, 3)
+    return names, index[:, 0], index[:, 1], index[:, 2]
+
+
 def evaluate(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
              pairs: list[Pair], delta: float) -> tuple[float, list[float]]:
     """Accuracy of score>delta against pair labels, plus raw scores."""
-    cache: dict[str, np.ndarray] = {}
-
-    def emb(name: str) -> np.ndarray:
-        if name not in cache:
-            cache[name] = forward(params, graphs[name], hyper).embedding
-        return cache[name]
-
+    if not pairs:
+        return 0.0, []
+    names, first, second, labels = _index_pairs(pairs)
+    emb = forward(params, pack([graphs[name] for name in names]), hyper).embedding
     # _cosine_grads scores a dead embedding as 0 instead of raising, so a
     # mid-training evaluation never aborts the run.
-    scores = [_cosine_grads(emb(a), emb(b))[0] for a, b, _ in pairs]
-    correct = sum(
-        1 for (a, b, label), s in zip(pairs, scores)
-        if (label == 1) == (s > delta)
-    )
-    return (correct / len(pairs) if pairs else 0.0), scores
+    scores = _cosine_grads(emb[first], emb[second])[0]
+    correct = np.count_nonzero((labels == 1) == (scores > delta))
+    return correct / len(pairs), scores.tolist()
 
 
 def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
@@ -175,6 +189,8 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         _check_pairs(graphs, test_pairs)
     if not train_pairs:
         raise ValueError("no training pairs")
+    names, first, second, labels = _index_pairs(train_pairs)
+    designs = pack([graphs[name] for name in names])
     params = init.copy() if init is not None else init_params(hyper, config.seed)
     optimizer = _Optimizer(config, params)
     trace: list[EpochStats] = []
@@ -192,10 +208,10 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         loss_sum = 0.0
         correct = 0
         for batch_idx in range(0, len(order), config.batch_size):
-            batch = [train_pairs[i] for i in order[batch_idx:batch_idx + config.batch_size]]
+            batch = order[batch_idx:batch_idx + config.batch_size]
             loss_sum_b, correct_b = _train_batch(
-                params, optimizer, graphs, batch, hyper, config,
-                epoch, batch_idx // config.batch_size)
+                params, optimizer, designs, names, first[batch], second[batch],
+                labels[batch], hyper, config, epoch, batch_idx // config.batch_size)
             loss_sum += loss_sum_b
             correct += correct_b
         train_loss = loss_sum / len(train_pairs)
@@ -237,53 +253,40 @@ def fit(corpus, train_pairs, test_pairs, hyper: Hyper, config: TrainConfig,
 
 
 def _train_batch(params: ModelParams, optimizer: _Optimizer,
-                 graphs: dict[str, GraphTensors], batch: list[Pair],
-                 hyper: Hyper, config: TrainConfig,
-                 epoch: int, batch_no: int) -> tuple[float, int]:
-    names = sorted({name for a, b, _ in batch for name in (a, b)})
-    caches: dict[str, ForwardCache] = {}
-    d_emb: dict[str, np.ndarray] = {}
-    for slot, name in enumerate(names):
-        gt = graphs[name]
-        masks = None
-        if hyper.dropout > 0.0:
-            seq = np.random.SeedSequence([config.seed, epoch, batch_no, slot])
-            masks = make_dropout_masks(hyper, gt.num_nodes, np.random.Generator(np.random.PCG64(seq)))
-        caches[name] = forward(params, gt, hyper, masks=masks)
-        d_emb[name] = np.zeros_like(caches[name].embedding)
+                 designs: GraphTensors, names: list[str], first: np.ndarray,
+                 second: np.ndarray, labels: np.ndarray, hyper: Hyper,
+                 config: TrainConfig, epoch: int, batch_no: int) -> tuple[float, int]:
+    """One optimizer step on the pairs (first[i], second[i], labels[i]),
+    given as positions in ``names`` and in the pack ``designs``."""
+    used, rows = np.unique(np.concatenate((first, second)), return_inverse=True)
+    batch = take(designs, used)
+    masks = None
+    if hyper.dropout > 0.0:
+        seq = np.random.SeedSequence([config.seed, epoch, batch_no])
+        masks = make_dropout_masks(hyper, batch.num_nodes, np.random.Generator(np.random.PCG64(seq)))
+    cache = forward(params, batch, hyper, masks=masks)
+    row_a, row_b = rows[:len(first)], rows[len(first):]
+    score, d_a, d_b = _cosine_grads(cache.embedding[row_a], cache.embedding[row_b])
 
-    loss_sum = 0.0
-    correct = 0
-    for a, b, label in batch:
-        emb_a = caches[a].embedding
-        emb_b = caches[b].embedding
-        score, d_a, d_b = _cosine_grads(emb_a, emb_b)
-        if label == 1:
-            loss = 1.0 - score
-            upstream = -1.0
-        else:
-            loss = max(0.0, score - config.margin)
-            upstream = 1.0 if score > config.margin else 0.0
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"epoch {epoch} batch {batch_no} pair ({a}, {b})")
-        loss_sum += loss
-        if (label == 1) == (score > config.delta):
-            correct += 1
-        if upstream != 0.0:
-            d_emb[a] += upstream * d_a
-            d_emb[b] += upstream * d_b
+    similar = labels == 1
+    loss = np.where(similar, 1.0 - score, np.maximum(score - config.margin, 0.0))
+    bad = np.flatnonzero(~np.isfinite(loss))
+    if bad.size:
+        i = bad[0]
+        raise NonFiniteLoss(f"epoch {epoch} batch {batch_no} pair "
+                            f"({names[first[i]]}, {names[second[i]]})")
+    upstream = np.where(similar, -1.0, (score > config.margin).astype(np.float64))[:, None]
+    d_emb = np.zeros_like(cache.embedding)
+    np.add.at(d_emb, row_a, upstream * d_a)
+    np.add.at(d_emb, row_b, upstream * d_b)
 
-    total = zeros_like_params(params)
-    for name in names:
-        if not d_emb[name].any():
-            continue
-        add_scaled(total, backward(params, hyper, caches[name], d_emb[name]))
-    for arr in total.arrays():
-        arr /= len(batch)
+    grads = backward(params, hyper, cache, d_emb)
+    for arr in grads.arrays():
+        arr /= len(first)
         if not np.isfinite(arr).all():
             raise NonFiniteLoss(f"non-finite gradient in epoch {epoch} batch {batch_no}")
-    optimizer.step(params, total)
-    return loss_sum, correct
+    optimizer.step(params, grads)
+    return float(loss.sum()), int(np.count_nonzero(similar == (score > config.delta)))
 
 
 def write_trace(path, trace: list[EpochStats]):

@@ -1,11 +1,11 @@
 """Central-difference harness for checking training-loss gradients.
 
-The loss closure replays the exact per-name dropout masks the trainer
-draws for a given (seed, epoch, batch) coordinate, so finite differences
-and the analytic reverse pass see the same stochastic computation. The
-analytic gradient is recovered through the public API by running one
-full-batch plain-SGD step at learning rate 1 and reading the parameter
-delta, which equals the mean-loss gradient exactly.
+The loss closure replays the exact dropout masks the trainer draws for
+a given (seed, epoch, batch) coordinate, split per design, so finite
+differences and the analytic reverse pass see the same stochastic
+computation. The analytic gradient is recovered through the public API
+by running one full-batch plain-SGD step at learning rate 1 and reading
+the parameter delta, which equals the mean-loss gradient exactly.
 """
 import numpy as np
 
@@ -21,16 +21,17 @@ KINK_TOL = 1e-4
 
 def mask_plan(config: TrainConfig, hyper: Hyper, gts: dict, names,
               epoch: int = 1, batch_no: int = 0) -> dict:
-    """The dropout masks _train_batch would draw for this batch."""
-    plan = {}
-    for slot, name in enumerate(sorted(names)):
-        if hyper.dropout > 0.0:
-            seq = np.random.SeedSequence([config.seed, epoch, batch_no, slot])
-            rng = np.random.Generator(np.random.PCG64(seq))
-            plan[name] = make_dropout_masks(hyper, gts[name].num_nodes, rng)
-        else:
-            plan[name] = None
-    return plan
+    """The dropout masks _train_batch would draw for this batch: one
+    generator per batch, drawn over the packed rows of the designs in
+    sorted-name order, then split back per design."""
+    names = sorted(names)
+    if hyper.dropout == 0.0:
+        return {name: None for name in names}
+    seq = np.random.SeedSequence([config.seed, epoch, batch_no])
+    sizes = [gts[name].num_nodes for name in names]
+    masks = make_dropout_masks(hyper, sum(sizes), np.random.Generator(np.random.PCG64(seq)))
+    parts = [np.split(mask, np.cumsum(sizes)[:-1]) for mask in masks]
+    return {name: [part[i] for part in parts] for i, name in enumerate(names)}
 
 
 def batch_names(batch) -> list[str]:

@@ -329,3 +329,27 @@ def test_project_csv(corpus, checkpoint, tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "ipsim" in capsys.readouterr().out
+
+
+def test_manifest_alone_selects_designs(corpus, checkpoint, tmp_path, capsys):
+    manifest = tmp_path / "designs.csv"
+    manifest.write_text("family_id,path,abstraction\n" + "".join(
+        f"{family},{corpus / family / f'{family}{i}.v'},rtl\n"
+        for family in ("andor", "muxes") for i in range(2)))
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--manifest", str(manifest), "--out", str(model),
+                 *TRAIN_ARGS]) == EXIT_OK
+    assert "designs: 4" in capsys.readouterr().out
+    coords = tmp_path / "coords.csv"
+    assert main(["project", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+                 "--out", str(coords)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(coords.read_text().splitlines()) == 5  # 4 designs + header
+
+
+def test_corpus_commands_need_a_design_source(checkpoint, tmp_path, capsys):
+    for command in (["train", "--out", str(tmp_path / "m.ckpt")],
+                    ["project", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "c.csv")],
+                    ["eval", "--checkpoint", str(checkpoint)]):
+        assert main(command) == EXIT_INPUT, command
+        assert "error: need --corpus or --manifest" in capsys.readouterr().err

@@ -56,7 +56,7 @@ def test_isolated_node_normalization():
 def test_one_hot_shape_and_placement(full_adder_graph):
     x = one_hot_features(full_adder_graph)
     assert x.shape == (full_adder_graph.num_nodes, FEATURE_DIM)
-    assert x.dtype == np.float64
+    assert x.dtype == np.bool_
     np.testing.assert_array_equal(x.sum(axis=1), np.ones(len(x)))
     for node in full_adder_graph.nodes:
         assert x[node.id, KIND_INDEX[node.kind]] == 1.0

@@ -109,7 +109,7 @@ def test_sag_pool_sparse_propagation():
     d = sag_pool(dense, x, score, 0.4)
     s = sag_pool(sparse, x, score, 0.4)
     np.testing.assert_array_equal(d.selected, s.selected)
-    np.testing.assert_allclose(s.prop, d.prop)
+    np.testing.assert_allclose(s.alpha, d.alpha)
     np.testing.assert_allclose(s.x, d.x)
 
 
