@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ipsim.corpus import flatten_families, load_corpus, scan_corpus, split_pairs  # noqa: E402
 from ipsim.detect import sweep_delta  # noqa: E402
 from ipsim.model import Hyper  # noqa: E402
-from ipsim.train import TrainConfig, evaluate, fit, write_trace  # noqa: E402
+from ipsim.train import TrainConfig, fit, score_pairs, write_trace  # noqa: E402
 
 # One fixed recipe so two runs of this script agree byte for byte.
 PINNED_SEED = 9
@@ -57,16 +57,16 @@ def main() -> int:
                   f"train_acc {row.train_acc:.4f}  test_acc {row.test_acc:.4f}")
 
     result, checkpoint = fit(corpus, train_pairs, test_pairs, HYPER, config, log=log)
-    _, scores = evaluate(result.params, HYPER, corpus.tensors,
-                         [p.as_tuple() for p in test_pairs], config.delta)
+    # Written before scoring, so a model that the report rejects (a zero
+    # embedding) can still be inspected.
+    args.out.write_bytes(checkpoint)
+    write_trace(args.trace, result.trace)
+    scores = score_pairs(result.params, HYPER, corpus.tensors, [p.as_tuple() for p in test_pairs])
     labels = [p.label for p in test_pairs]
     pos = [s for l, s in zip(labels, scores) if l == 1]
     neg = [s for l, s in zip(labels, scores) if l == -1]
     delta, acc = sweep_delta(labels, scores)
     wall = time.perf_counter() - t0
-
-    args.out.write_bytes(checkpoint)
-    write_trace(args.trace, result.trace)
 
     print(f"held-out accuracy {acc:.4f} at swept delta {delta:+.2f}")
     print(f"mean similar score  {float(np.mean(pos)):+.4f}")

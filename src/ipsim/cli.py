@@ -24,14 +24,14 @@ from ipsim.corpus import (
     split_pairs,
     write_pair_manifest,
 )
-from ipsim.detect import DEFAULT_DELTA, Verdict, check_delta, cosine_similarity, judge, sweep_delta
+from ipsim.detect import DEFAULT_DELTA, Verdict, check_delta, sweep_delta
 from ipsim.dfg import serialize
-from ipsim.encode import encode
+from ipsim.encode import GraphTensors, encode, pack
 from ipsim.errors import IpsimError
 from ipsim.model import Hyper, embed
 from ipsim.pipeline import compile_design
 from ipsim.project import pca_project, projection_csv
-from ipsim.train import TrainConfig, evaluate, fit, load_checkpoint, write_trace
+from ipsim.train import TrainConfig, fit, load_checkpoint, score_pairs, write_trace
 from ipsim.variants import synthesize_variants
 
 EXIT_OK = 0
@@ -185,44 +185,37 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _embed_file(path, top, params, hyper):
-    graph = compile_design([path], top=top)
-    return embed(params, encode(graph), hyper)
-
-
-def _manifest_embedder(manifest, params, hyper):
-    """Embedding lookup for the design refs of a pair manifest, each
-    compiled once. A relative ref that is not a file from the working
+def _manifest_graphs(manifest, pairs) -> dict[str, GraphTensors]:
+    """Each design ref the pairs of a pair manifest name, compiled and
+    encoded once. A relative ref that is not a file from the working
     directory resolves against the manifest's directory."""
     base = Path(manifest).parent
-    cache: dict[str, np.ndarray] = {}
-
-    def emb_of(ref: str) -> np.ndarray:
-        if ref not in cache:
-            path = Path(ref)
-            if not path.is_absolute() and not path.is_file():
-                path = base / ref
-            cache[ref] = _embed_file(path, None, params, hyper)
-        return cache[ref]
-
-    return emb_of
+    paths = {ref: Path(ref) for pair in pairs for ref in (pair.a, pair.b)}
+    return {ref: encode(compile_design([path if path.is_absolute() or path.is_file() else base / ref]))
+            for ref, path in paths.items()}
 
 
 def cmd_compare(args) -> int:
+    check_delta(args.delta)
     timer = _Timer(args.timing)
     params, hyper, _ = load_checkpoint(args.checkpoint)
     if args.batch:
-        emb_of = _manifest_embedder(args.batch, params, hyper)
-        verdicts = [judge(rec.a, rec.b, emb_of(rec.a), emb_of(rec.b), args.delta)
-                    for rec in read_pair_manifest(args.batch)]
+        records = read_pair_manifest(args.batch)
+        graphs = _manifest_graphs(args.batch, records)
+        pairs = keys = [(rec.a, rec.b) for rec in records]
+    elif args.a and args.b:
+        # One file under two --top values is two designs.
+        sides = [(args.a, args.top_a), (args.b, args.top_b)]
+        names = [f"{path} (top {top})" if top else path for path, top in sides]
+        graphs = {name: encode(compile_design([path], top=top))
+                  for name, (path, top) in dict(zip(names, sides)).items()}
+        pairs, keys = [(args.a, args.b)], [tuple(names)]
     else:
-        if not (args.a and args.b):
-            raise IpsimError("compare needs two design files or --batch")
-        emb_a = _embed_file(args.a, args.top_a, params, hyper)
-        emb_b = _embed_file(args.b, args.top_b, params, hyper)
-        verdicts = [judge(args.a, args.b, emb_a, emb_b, args.delta)]
-    timer.lap("embed")
-    lines = [v.to_json() for v in verdicts]
+        raise IpsimError("compare needs two design files or --batch")
+    timer.lap("load", len(graphs))
+    scores = score_pairs(params, hyper, graphs, keys)
+    timer.lap("score", len(pairs))
+    lines = [Verdict(a, b, score, args.delta).to_json() for (a, b), score in zip(pairs, scores)]
     for line in lines:
         print(line)
     if args.jsonl:
@@ -239,18 +232,19 @@ def cmd_eval(args) -> int:
     if args.pairs:
         pairs = [p for p in read_pair_manifest(args.pairs)
                  if args.split == "all" or p.split == args.split]
-        emb_of = _manifest_embedder(args.pairs, params, hyper)
-        scores = [cosine_similarity(emb_of(p.a), emb_of(p.b)) for p in pairs]
-    else:
+        graphs = _manifest_graphs(args.pairs, pairs)
+        timer.lap("load", len(graphs))
+    elif args.corpus or args.manifest:
         corpus = _load_corpus(args, timer)
-        pairs = corpus.pairs
+        graphs, pairs = corpus.tensors, corpus.pairs
         if args.split != "all":
             train_pairs, test_pairs = split_pairs(pairs, args.test_fraction, seed=args.seed)
             pairs = test_pairs if args.split == "test" else train_pairs
-        _, scores = evaluate(params, hyper, corpus.tensors,
-                             [p.as_tuple() for p in pairs], args.delta)
+    else:
+        raise IpsimError("need --corpus, --manifest or --pairs")
     if not pairs:
         raise IpsimError("no pairs to evaluate")
+    scores = score_pairs(params, hyper, graphs, [p.as_tuple() for p in pairs])
     timer.lap("score", len(pairs))
     labels = [p.label for p in pairs]
     pos = [s for l, s in zip(labels, scores) if l == 1]
@@ -286,7 +280,7 @@ def cmd_project(args) -> int:
     corpus = _load_corpus(args, timer)
     names = [e.name for e in corpus.entries]
     fams = [e.family for e in corpus.entries]
-    matrix = np.stack([embed(params, corpus.tensors[name], hyper) for name in names])
+    matrix = embed(params, pack([corpus.tensors[name] for name in names]), hyper)
     projection = pca_project(matrix, k=2)
     timer.lap("project", len(names))
     atomic_write(args.out, projection_csv(names, fams, projection.coords))

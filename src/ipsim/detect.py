@@ -12,12 +12,15 @@ from ipsim.errors import ConfigError, ZeroEmbedding
 DEFAULT_DELTA = 0.5
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two embeddings, clamped to [-1, 1]."""
+def cosine_similarity(a: np.ndarray, b: np.ndarray, names: tuple[str, str] = ("a", "b")) -> float:
+    """Cosine of the angle between two embeddings, clamped to [-1, 1]. A
+    zero embedding raises ZeroEmbedding with the design's name."""
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroEmbedding("cannot score a zero-norm embedding")
+    for name, norm in zip(names, (norm_a, norm_b)):
+        if norm == 0.0:
+            raise ZeroEmbedding(f"design {name!r} has a zero embedding; "
+                                "the model is untrained or degenerate")
     value = float(np.dot(a, b)) / (norm_a * norm_b)
     return max(-1.0, min(1.0, value))
 
@@ -49,7 +52,7 @@ def check_delta(delta: float) -> None:
 def judge(name_a: str, name_b: str, emb_a: np.ndarray, emb_b: np.ndarray,
           delta: float = DEFAULT_DELTA) -> Verdict:
     check_delta(delta)
-    return Verdict(name_a, name_b, cosine_similarity(emb_a, emb_b), delta)
+    return Verdict(name_a, name_b, cosine_similarity(emb_a, emb_b, (name_a, name_b)), delta)
 
 
 def sweep_delta(labels: list[int], scores: list[float]) -> tuple[float, float]:

@@ -10,7 +10,9 @@ once per batch. The batch's dropout masks come from one generator per
 batch, seeded with (seed, epoch, batch number) and drawn in packed row
 order. The pair losses and their gradients are computed for the whole
 batch at once, and one packed backward pass returns the batch gradient.
-``evaluate`` likewise embeds every design it scores in one pass.
+``pair_embeddings`` likewise embeds every design a list of pairs names
+in one pass; ``evaluate`` (the training-time monitor) and
+``score_pairs`` (the scorer behind every report) score its rows.
 ``fit`` runs one experiment on a loaded corpus and returns its
 checkpoint bytes.
 """
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ipsim.detect import check_delta
+from ipsim.detect import check_delta, cosine_similarity
 from ipsim.encode import VOCAB_VERSION, GraphTensors, pack, take
 from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
 from ipsim.model import (
@@ -45,14 +47,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def cosine_embedding_loss(score: float, label: int, margin: float = 0.5) -> float:
+def cosine_embedding_loss(score, label, margin: float = 0.5):
     """Hinge-style pair loss on a cosine score: 1 - score for similar
-    pairs, max(0, score - margin) for dissimilar ones."""
-    if label == 1:
-        return 1.0 - score
-    if label == -1:
-        return max(0.0, score - margin)
-    raise ValueError(f"pair label must be +1 or -1, got {label}")
+    pairs, max(0, score - margin) for dissimilar ones. Takes scalars, or
+    arrays of scores and labels for an array of losses."""
+    label = np.asarray(label)
+    if (np.abs(label) != 1).any():
+        raise ValueError(f"pair label must be +1 or -1, got {label}")
+    loss = np.where(label == 1, 1.0 - score, np.maximum(score - margin, 0.0))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def _cosine_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,14 +159,23 @@ def _check_pairs(graphs: dict[str, GraphTensors], pairs: list[Pair]):
             raise ValueError(f"pair label must be +1 or -1, got {label!r}")
 
 
-def _index_pairs(pairs: list[Pair]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted names the pairs use, and each pair's two positions in
-    that list and its label, as arrays."""
-    names = sorted({name for a, b, _ in pairs for name in (a, b)})
+def _index_pairs(pairs: list[tuple]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted names the (a, b, ...) pairs use, and each pair's two
+    positions in that list, as arrays."""
+    names = sorted({name for pair in pairs for name in pair[:2]})
     position = {name: i for i, name in enumerate(names)}
-    index = np.array([(position[a], position[b], label) for a, b, label in pairs],
-                     dtype=np.int64).reshape(-1, 3)
-    return names, index[:, 0], index[:, 1], index[:, 2]
+    index = np.array([(position[pair[0]], position[pair[1]]) for pair in pairs],
+                     dtype=np.int64).reshape(-1, 2)
+    return names, index[:, 0], index[:, 1]
+
+
+def pair_embeddings(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
+                    pairs: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The embedding rows of each (a, b, ...) pair's two designs. Every
+    design the pairs name is embedded once, in one packed forward pass."""
+    names, first, second = _index_pairs(pairs)
+    emb = forward(params, pack([graphs[name] for name in names]), hyper).embedding
+    return emb[first], emb[second]
 
 
 def evaluate(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
@@ -171,13 +183,21 @@ def evaluate(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
     """Accuracy of score>delta against pair labels, plus raw scores."""
     if not pairs:
         return 0.0, []
-    names, first, second, labels = _index_pairs(pairs)
-    emb = forward(params, pack([graphs[name] for name in names]), hyper).embedding
     # _cosine_grads scores a dead embedding as 0 instead of raising, so a
     # mid-training evaluation never aborts the run.
-    scores = _cosine_grads(emb[first], emb[second])[0]
+    scores = _cosine_grads(*pair_embeddings(params, hyper, graphs, pairs))[0]
+    labels = np.array([label for _, _, label in pairs])
     correct = np.count_nonzero((labels == 1) == (scores > delta))
     return correct / len(pairs), scores.tolist()
+
+
+def score_pairs(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
+                pairs: list[tuple]) -> list[float]:
+    """The clamped cosine score (``detect.cosine_similarity``) of each
+    (a, b, ...) pair. Unlike ``evaluate``, a zero embedding raises
+    ZeroEmbedding, naming the design."""
+    rows = zip(pairs, *pair_embeddings(params, hyper, graphs, pairs))
+    return [cosine_similarity(emb_a, emb_b, pair[:2]) for pair, emb_a, emb_b in rows]
 
 
 def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
@@ -189,7 +209,8 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         _check_pairs(graphs, test_pairs)
     if not train_pairs:
         raise ValueError("no training pairs")
-    names, first, second, labels = _index_pairs(train_pairs)
+    names, first, second = _index_pairs(train_pairs)
+    labels = np.array([label for _, _, label in train_pairs])
     designs = pack([graphs[name] for name in names])
     params = init.copy() if init is not None else init_params(hyper, config.seed)
     optimizer = _Optimizer(config, params)
@@ -268,13 +289,13 @@ def _train_batch(params: ModelParams, optimizer: _Optimizer,
     row_a, row_b = rows[:len(first)], rows[len(first):]
     score, d_a, d_b = _cosine_grads(cache.embedding[row_a], cache.embedding[row_b])
 
-    similar = labels == 1
-    loss = np.where(similar, 1.0 - score, np.maximum(score - config.margin, 0.0))
+    loss = cosine_embedding_loss(score, labels, config.margin)
     bad = np.flatnonzero(~np.isfinite(loss))
     if bad.size:
         i = bad[0]
         raise NonFiniteLoss(f"epoch {epoch} batch {batch_no} pair "
                             f"({names[first[i]]}, {names[second[i]]})")
+    similar = labels == 1
     upstream = np.where(similar, -1.0, (score > config.margin).astype(np.float64))[:, None]
     d_emb = np.zeros_like(cache.embedding)
     np.add.at(d_emb, row_a, upstream * d_a)

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import FULL_ADDER
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from ipsim.model import zeros_like_params
+from ipsim.train import load_checkpoint, save_checkpoint
 
 FAMILIES = {
     "andor": [
@@ -148,7 +150,6 @@ def test_train_writes_artifacts(corpus, tmp_path, capsys):
     header = pairs.read_text().splitlines()[0]
     assert header == "a_path,b_path,label,split"
 
-    from ipsim.train import load_checkpoint
     params, hyper, meta = load_checkpoint(out)
     assert hyper.hidden_dim == 8
     assert meta["seed"] == 1
@@ -172,6 +173,22 @@ def test_compare_verdict_is_not_exit_status(corpus, checkpoint, capsys):
     assert code == EXIT_OK
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["label"] in ("piracy", "no-piracy")
+
+
+def test_compare_one_file_under_two_tops(corpus, checkpoint, tmp_path, capsys):
+    lib = tmp_path / "lib.v"
+    lib.write_text((corpus / "andor" / "andor0.v").read_text()
+                   + (corpus / "addsub" / "addsub0.v").read_text())
+    args = ["--checkpoint", str(checkpoint)]
+    assert main(["compare", str(lib), str(lib), "--top-a", "andor0", "--top-b", "as0",
+                 *args]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["a"], verdict["b"]) == (str(lib), str(lib))
+    assert main(["compare", str(corpus / "andor" / "andor0.v"),
+                 str(corpus / "addsub" / "addsub0.v"), *args]) == EXIT_OK
+    apart = json.loads(capsys.readouterr().out)
+    assert verdict["score"] < 0.999
+    assert abs(verdict["score"] - apart["score"]) <= 1e-12
 
 
 def test_compare_batch_and_jsonl(corpus, checkpoint, tmp_path, capsys):
@@ -348,8 +365,46 @@ def test_manifest_alone_selects_designs(corpus, checkpoint, tmp_path, capsys):
 
 
 def test_corpus_commands_need_a_design_source(checkpoint, tmp_path, capsys):
-    for command in (["train", "--out", str(tmp_path / "m.ckpt")],
-                    ["project", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "c.csv")],
-                    ["eval", "--checkpoint", str(checkpoint)]):
+    for command, sources in (
+            (["train", "--out", str(tmp_path / "m.ckpt")], "--corpus or --manifest"),
+            (["project", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "c.csv")],
+             "--corpus or --manifest"),
+            (["eval", "--checkpoint", str(checkpoint)], "--corpus, --manifest or --pairs")):
         assert main(command) == EXIT_INPUT, command
-        assert "error: need --corpus or --manifest" in capsys.readouterr().err
+        assert f"error: need {sources}\n" in capsys.readouterr().err
+
+
+def test_zero_embeddings_are_input_errors_naming_the_design(corpus, checkpoint, tmp_path,
+                                                            capsys):
+    params, hyper, _ = load_checkpoint(checkpoint)
+    dead = tmp_path / "dead.ckpt"
+    save_checkpoint(dead, zeros_like_params(params), hyper)
+    a, b = str(corpus / "andor" / "andor0.v"), str(corpus / "muxes" / "muxes0.v")
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(f"a_path,b_path,label\n{a},{b},-1\n")
+    for command, design in ((["compare", a, b], a),
+                            (["compare", "--batch", str(manifest)], a),
+                            (["eval", "--corpus", str(corpus)], "addsub:rtl:addsub0"),
+                            (["eval", "--pairs", str(manifest)], a)):
+        assert main([*command, "--checkpoint", str(dead)]) == EXIT_INPUT, command
+        captured = capsys.readouterr()
+        assert f"error: design {design!r} has a zero embedding" in captured.err, command
+        assert captured.out == ""
+
+
+def test_eval_sources_agree(corpus, tmp_path, capsys):
+    model, manifest = tmp_path / "m.ckpt", tmp_path / "pairs.csv"
+    assert main(["train", "--corpus", str(corpus), "--out", str(model),
+                 "--pairs-out", str(manifest), *TRAIN_ARGS]) == EXIT_OK
+    capsys.readouterr()
+    reports, scores = [], []
+    for source in (["--corpus", str(corpus), "--seed", "1"], ["--pairs", str(manifest)]):
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["eval", *source, "--checkpoint", str(model), "--split", "test",
+                     "--out", str(out)]) == EXIT_OK
+        reports.append([line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith(("pairs:", "accuracy", "confusion"))])
+        scores.append([json.loads(line)["score"] for line in out.read_text().splitlines()])
+    assert len(reports[0]) == 3 and reports[0] == reports[1]
+    assert len(scores[0]) == len(scores[1])
+    assert max(abs(x - y) for x, y in zip(*scores)) <= 1e-12
