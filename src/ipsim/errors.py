@@ -117,6 +117,10 @@ class ZeroEmbedding(IpsimError):
     """An embedding has zero norm; the model is untrained or degenerate."""
 
 
+class NonFiniteEmbedding(IpsimError):
+    """An embedding holds NaN or inf, so no cosine score exists."""
+
+
 class ShapeMismatch(IpsimError):
     pass
 

@@ -31,7 +31,9 @@ GATE_KEYWORDS = frozenset("and nand or nor xor xnor not buf".split())
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<based>(\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r\f]+)
+  | (?P<based>(\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
   | (?P<real>\d[\d_]*\.\d+)
   | (?P<number>\d[\d_]*)
   | (?P<escaped>\\\S+)
@@ -39,9 +41,14 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~
        |[-+*/%&|^~!<>=?:;,.()\[\]{}@\#])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+# Token kind of each _TOKEN_RE group; an ident may still turn out a keyword.
+_KINDS = {"based": "number", "number": "number", "real": "real", "escaped": "ident",
+          "system": "system", "ident": "ident", "op": "op"}
 
 
 @dataclass(frozen=True)
@@ -54,38 +61,23 @@ class Token:
 def tokenize(text: str, path: str = "<text>") -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos, n = 0, len(text)
-    while pos < n:
-        c = text[pos]
-        if c == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
+    for m in _TOKEN_RE.finditer(text):
+        group, word = m.lastgroup, m.group()
+        if group == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r\f":
-            pos += 1
+        if group == "blank":
             continue
-        loc = SourceLocation(path, line, pos - line_start + 1)
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise VerilogSyntaxError(loc, ("a token",), text[pos])
-        pos = m.end()
-        if m.lastgroup == "ident":
-            word = m.group()
-            kind = "keyword" if word in KEYWORDS or word in UNSUPPORTED_KEYWORDS else "ident"
-            tokens.append(Token(kind, word, loc))
-        elif m.lastgroup == "escaped":
-            tokens.append(Token("ident", m.group()[1:], loc))
-        elif m.lastgroup in ("based", "number"):
-            tokens.append(Token("number", m.group(), loc))
-        elif m.lastgroup == "real":
-            tokens.append(Token("real", m.group(), loc))
-        elif m.lastgroup == "system":
-            tokens.append(Token("system", m.group(), loc))
-        else:
-            tokens.append(Token("op", m.group(), loc))
-    end_line = line
-    tokens.append(Token("eof", "", SourceLocation(path, end_line, max(1, n - line_start + 1))))
+        loc = SourceLocation(path, line, m.start() - line_start + 1)
+        if group == "bad":
+            raise VerilogSyntaxError(loc, ("a token",), word)
+        kind = _KINDS[group]
+        if group == "escaped":
+            word = word[1:]
+        elif group == "ident" and (word in KEYWORDS or word in UNSUPPORTED_KEYWORDS):
+            kind = "keyword"
+        tokens.append(Token(kind, word, loc))
+    tokens.append(Token("eof", "", SourceLocation(path, line, len(text) - line_start + 1)))
     return tokens
 
 

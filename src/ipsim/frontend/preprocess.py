@@ -18,6 +18,9 @@ from ipsim.errors import PreprocessError, SourceLocation
 
 MACRO_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_$]*)")
 MAX_MACRO_DEPTH = 16
+# A string literal (an unterminated one runs to the end), a line comment, a
+# block comment, or a lone /* that never closes.
+_COMMENT_RE = re.compile(r'"(?:\\.|[^"\\])*"?|//[^\n]*|/\*.*?\*/|/\*', re.DOTALL)
 
 
 @dataclass
@@ -45,44 +48,27 @@ def strip_comments(text: str) -> str:
     Newlines inside block comments are kept so every surviving token
     stays on its original line and diagnostics do not drift.
     """
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            out.append(text[i : min(j + 1, n)])
-            i = j + 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise PreprocessError("unterminated block comment")
-            out.append("\n" * text.count("\n", i + 2, j))
-            i = j + 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_drop_comment, text)
 
 
-def _expand_macros(line: str, macros: dict[str, str], loc: SourceLocation) -> str:
-    depth = 0
-    while True:
-        m = MACRO_RE.search(line)
-        if m is None:
-            return line
-        depth += 1
+def _drop_comment(m: re.Match) -> str:
+    found = m.group()
+    if found == "/*":
+        raise PreprocessError("unterminated block comment")
+    return found if found[0] == '"' else "\n" * found.count("\n")
+
+
+def _expand_macros(line: str, macros: dict[str, str], loc: SourceLocation, depth: int = 1) -> str:
+    """Replace each macro use with its body, expanded in turn one level deeper."""
+
+    def expand(m: re.Match) -> str:
         if depth > MAX_MACRO_DEPTH:
             raise PreprocessError(f"macro recursion beyond depth {MAX_MACRO_DEPTH}", loc)
-        name = m.group(1)
-        if name not in macros:
-            raise PreprocessError(f"undefined macro `{name}", loc)
-        line = line[: m.start()] + macros[name] + line[m.end() :]
+        if m.group(1) not in macros:
+            raise PreprocessError(f"undefined macro `{m.group(1)}", loc)
+        return _expand_macros(macros[m.group(1)], macros, loc, depth + 1)
+
+    return MACRO_RE.sub(expand, line)
 
 
 class _Preprocessor:

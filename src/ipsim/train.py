@@ -194,8 +194,8 @@ def evaluate(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
 def score_pairs(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
                 pairs: list[tuple]) -> list[float]:
     """The clamped cosine score (``detect.cosine_similarity``) of each
-    (a, b, ...) pair. Unlike ``evaluate``, a zero embedding raises
-    ZeroEmbedding, naming the design."""
+    (a, b, ...) pair. Unlike ``evaluate``, a zero or non-finite embedding
+    raises ZeroEmbedding or NonFiniteEmbedding, naming the design."""
     rows = zip(pairs, *pair_embeddings(params, hyper, graphs, pairs))
     return [cosine_similarity(emb_a, emb_b, pair[:2]) for pair, emb_a, emb_b in rows]
 
@@ -372,13 +372,18 @@ def load_checkpoint(path=None, data: bytes | None = None) -> tuple[ModelParams, 
         header = json.loads(bytes(take(header_len, "header")).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}")
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header: not a JSON object")
     if header.get("format_version") != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('format_version')!r}")
     if header.get("vocab_version") != VOCAB_VERSION:
         raise VocabularyMismatch(VOCAB_VERSION, header.get("vocab_version"))
-    hyper = Hyper(**header["hyper"])
+    try:
+        hyper, array_ids = Hyper(**header["hyper"]), range(header["arrays"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {type(exc).__name__}: {exc}")
     arrays = []
-    for i in range(header["arrays"]):
+    for i in array_ids:
         (ndim,) = struct.unpack("<I", take(4, f"array {i} rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {i} shape"))
         count = int(np.prod(shape)) if shape else 1

@@ -9,6 +9,7 @@ these functions or from hand calculation, never from the code under test.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -182,3 +183,92 @@ def trim_reference(graph):
         edges=sorted((order.index(s), order.index(d)) for s, d in edges),
         roots=[order.index(resolve(r)) for r in graph.roots],
     ))
+
+
+def tokenize_reference(text: str, path: str = "<text>"):
+    """The lexer as a character loop: blanks and newlines one per
+    iteration, each token by anchored match of the token pattern's
+    token groups."""
+    from ipsim.errors import SourceLocation, VerilogSyntaxError
+    from ipsim.frontend.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS, Token
+
+    tokens = []
+    line, line_start = 1, 0
+    pos, n = 0, len(text)
+    while pos < n:
+        c = text[pos]
+        if c == "\n":
+            line += 1
+            pos += 1
+            line_start = pos
+            continue
+        if c in " \t\r\f":
+            pos += 1
+            continue
+        loc = SourceLocation(path, line, pos - line_start + 1)
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise VerilogSyntaxError(loc, ("a token",), text[pos])
+        pos = m.end()
+        if m.lastgroup == "ident":
+            word = m.group()
+            kind = "keyword" if word in KEYWORDS or word in UNSUPPORTED_KEYWORDS else "ident"
+            tokens.append(Token(kind, word, loc))
+        elif m.lastgroup == "escaped":
+            tokens.append(Token("ident", m.group()[1:], loc))
+        elif m.lastgroup in ("based", "number"):
+            tokens.append(Token("number", m.group(), loc))
+        elif m.lastgroup == "real":
+            tokens.append(Token("real", m.group(), loc))
+        elif m.lastgroup == "system":
+            tokens.append(Token("system", m.group(), loc))
+        else:
+            tokens.append(Token("op", m.group(), loc))
+    end_line = line
+    tokens.append(Token("eof", "", SourceLocation(path, end_line, max(1, n - line_start + 1))))
+    return tokens
+
+
+# The token groups alone: no blank, newline or catch-all group.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<based>(\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
+  | (?P<real>\d[\d_]*\.\d+)
+  | (?P<number>\d[\d_]*)
+  | (?P<escaped>\\\S+)
+  | (?P<system>\$[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~
+       |[-+*/%&|^~!<>=?:;,.()\[\]{}@\#])
+    """,
+    re.VERBOSE,
+)
+
+
+def strip_comments_reference(text: str) -> str:
+    """Comment stripping as a character loop over the source."""
+    from ipsim.errors import PreprocessError
+
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            out.append(text[i : min(j + 1, n)])
+            i = j + 1
+        elif c == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif c == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            if j < 0:
+                raise PreprocessError("unterminated block comment")
+            out.append("\n" * text.count("\n", i + 2, j))
+            i = j + 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)

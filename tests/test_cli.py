@@ -7,6 +7,7 @@ from conftest import FULL_ADDER
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from ipsim.model import zeros_like_params
 from ipsim.train import load_checkpoint, save_checkpoint
+from test_train import MALFORMED_HEADERS, doctor_header
 
 FAMILIES = {
     "andor": [
@@ -390,6 +391,26 @@ def test_zero_embeddings_are_input_errors_naming_the_design(corpus, checkpoint, 
         captured = capsys.readouterr()
         assert f"error: design {design!r} has a zero embedding" in captured.err, command
         assert captured.out == ""
+
+
+def test_nan_weight_is_an_input_error_naming_the_design(corpus, checkpoint, tmp_path, capsys):
+    params, hyper, _ = load_checkpoint(checkpoint)
+    params.arrays()[0][0, 0] = float("nan")
+    broken = tmp_path / "nan.ckpt"
+    save_checkpoint(broken, params, hyper)
+    a, b = str(corpus / "andor" / "andor0.v"), str(corpus / "muxes" / "muxes0.v")
+    assert main(["compare", a, b, "--checkpoint", str(broken)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: design {a!r} has a NaN or inf embedding" in captured.err
+    assert captured.out == ""
+
+
+def test_compare_rejects_malformed_checkpoint_header(corpus, checkpoint, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(doctor_header(checkpoint.read_bytes(), MALFORMED_HEADERS["no-arrays"][0]))
+    design = str(corpus / "andor" / "andor0.v")
+    assert main(["compare", design, design, "--checkpoint", str(bad)]) == EXIT_INPUT
+    assert "error: corrupt checkpoint header: KeyError: 'arrays'" in capsys.readouterr().err
 
 
 def test_eval_sources_agree(corpus, tmp_path, capsys):

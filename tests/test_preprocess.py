@@ -99,3 +99,25 @@ def test_empty_unit_rejected():
 def test_parse_errors_keep_source_line_numbers(source):
     with pytest.raises(PipelineError, match="t.v:7:17: expected an expression"):
         compile_text(source, "t.v")
+
+
+def test_macro_depth_counts_nesting_not_uses():
+    out = preprocess_text("`define ONE 1\nwire [" + "+".join(["`ONE"] * 40) + ":0] w;\n")
+    assert "wire [" + "+".join(["1"] * 40) + ":0] w;" in out
+
+
+def chain_of_macros(depth: int) -> str:
+    """`M1 expands to `M2 and so on; `M<depth> expands to 1."""
+    lines = [f"`define M{i} `M{i + 1}" for i in range(1, depth)] + [f"`define M{depth} 1"]
+    return "\n".join(lines) + "\nwire w = `M1;\n"
+
+
+def test_macro_chain_sixteen_deep_expands_and_seventeen_raises():
+    assert "wire w = 1;" in preprocess_text(chain_of_macros(16))
+    with pytest.raises(PreprocessError, match=r"^<text>:18:1: macro recursion beyond depth 16$"):
+        preprocess_text(chain_of_macros(17))
+
+
+def test_self_referential_macro_raises():
+    with pytest.raises(PreprocessError, match=r"^<text>:2:1: macro recursion beyond depth 16$"):
+        preprocess_text("`define LOOP (`LOOP + 1)\nwire w = `LOOP;\n")

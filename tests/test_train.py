@@ -121,18 +121,38 @@ def test_checkpoint_bad_magic_and_trailing_garbage():
         load_checkpoint(data=data + b"\x00")
 
 
+def doctor_header(data: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header replaced by edit(header)."""
+    header_len = struct.unpack("<I", data[len(MAGIC):len(MAGIC) + 4])[0]
+    start = len(MAGIC) + 4
+    blob = json.dumps(edit(json.loads(data[start:start + header_len]))).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + data[start + header_len:]
+
+
 def test_checkpoint_vocabulary_mismatch():
     params = init_params(HYPER, seed=0)
     data = save_checkpoint(None, params, HYPER)
-    header_len = struct.unpack("<I", data[len(MAGIC):len(MAGIC) + 4])[0]
-    start = len(MAGIC) + 4
-    header = json.loads(data[start:start + header_len])
-    header["vocab_version"] = "bogus-v0"
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    doctored = MAGIC + struct.pack("<I", len(blob)) + blob + data[start + header_len:]
+    doctored = doctor_header(data, lambda header: {**header, "vocab_version": "bogus-v0"})
     with pytest.raises(VocabularyMismatch):
         load_checkpoint(data=doctored)
     assert VOCAB_VERSION != "bogus-v0"
+
+
+MALFORMED_HEADERS = {
+    "unknown-hyper-key": (lambda header: {**header, "hyper": {**header["hyper"], "width": 3}},
+                          "TypeError: .*unexpected keyword argument 'width'"),
+    "no-arrays": (lambda header: {k: v for k, v in header.items() if k != "arrays"},
+                  "KeyError: 'arrays'"),
+    "list": (lambda header: [header], "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_checkpoint_header_is_checkpoint_error(case):
+    edit, message = MALFORMED_HEADERS[case]
+    data = save_checkpoint(None, init_params(HYPER, seed=0), HYPER)
+    with pytest.raises(CheckpointError, match=f"^corrupt checkpoint header: {message}"):
+        load_checkpoint(data=doctor_header(data, edit))
 
 
 def test_missing_graph_and_bad_pair_label():
