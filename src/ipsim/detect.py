@@ -7,15 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ipsim.errors import ConfigError, NonFiniteEmbedding, ZeroEmbedding
+from ipsim.errors import ConfigError, ZeroEmbedding
 
 DEFAULT_DELTA = 0.5
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, names: tuple[str, str] = ("a", "b")) -> float:
     """Cosine of the angle between two embeddings, clamped to [-1, 1]. A
-    zero embedding raises ZeroEmbedding, and one holding NaN or inf raises
-    NonFiniteEmbedding, each with the design's name."""
+    zero embedding, or one holding NaN or inf, raises ZeroEmbedding with the
+    design's name."""
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
     for name, norm in zip(names, (norm_a, norm_b)):
@@ -23,8 +23,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, names: tuple[str, str] = ("a
             raise ZeroEmbedding(f"design {name!r} has a zero embedding; "
                                 "the model is untrained or degenerate")
         if not np.isfinite(norm):
-            raise NonFiniteEmbedding(f"design {name!r} has a NaN or inf embedding; "
-                                     "the model is degenerate")
+            raise ZeroEmbedding(f"design {name!r} has a NaN or inf embedding; "
+                                "the model is degenerate")
     value = float(np.dot(a, b)) / (norm_a * norm_b)
     return max(-1.0, min(1.0, value))
 

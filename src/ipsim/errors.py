@@ -114,11 +114,8 @@ class EmptyGraph(IpsimError):
 
 
 class ZeroEmbedding(IpsimError):
-    """An embedding has zero norm; the model is untrained or degenerate."""
-
-
-class NonFiniteEmbedding(IpsimError):
-    """An embedding holds NaN or inf, so no cosine score exists."""
+    """An embedding has zero norm or holds NaN or inf, so no cosine score
+    exists; the model is untrained or degenerate."""
 
 
 class ShapeMismatch(IpsimError):

@@ -10,6 +10,7 @@ Supported directives: `define (object-like), `undef, `ifdef/`ifndef/`else/
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from ipsim.errors import PreprocessError, SourceLocation
 
 MACRO_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_$]*)")
 MAX_MACRO_DEPTH = 16
+MAX_MACRO_USES = 1024  # substitutions on one line, nested ones included: bounds a fan-out
 # A string literal (an unterminated one runs to the end), a line comment, a
 # block comment, or a lone /* that never closes.
 _COMMENT_RE = re.compile(r'"(?:\\.|[^"\\])*"?|//[^\n]*|/\*.*?\*/|/\*', re.DOTALL)
@@ -58,17 +60,22 @@ def _drop_comment(m: re.Match) -> str:
     return found if found[0] == '"' else "\n" * found.count("\n")
 
 
-def _expand_macros(line: str, macros: dict[str, str], loc: SourceLocation, depth: int = 1) -> str:
-    """Replace each macro use with its body, expanded in turn one level deeper."""
+def _expand_macros(line: str, macros: dict[str, str], loc: SourceLocation, depth: int = 1,
+                   uses: itertools.count | None = None) -> str:
+    """Replace each macro use with its body, expanded in turn one level deeper.
+    ``uses`` numbers the line's substitutions, nested ones included."""
+    uses = uses or itertools.count(1)
 
-    def expand(m: re.Match) -> str:
+    def substitute(m: re.Match) -> str:
         if depth > MAX_MACRO_DEPTH:
             raise PreprocessError(f"macro recursion beyond depth {MAX_MACRO_DEPTH}", loc)
+        if next(uses) > MAX_MACRO_USES:
+            raise PreprocessError(f"macro expansion beyond {MAX_MACRO_USES} uses on one line", loc)
         if m.group(1) not in macros:
             raise PreprocessError(f"undefined macro `{m.group(1)}", loc)
-        return _expand_macros(macros[m.group(1)], macros, loc, depth + 1)
+        return _expand_macros(macros[m.group(1)], macros, loc, depth + 1, uses)
 
-    return MACRO_RE.sub(expand, line)
+    return MACRO_RE.sub(substitute, line)
 
 
 class _Preprocessor:
@@ -108,9 +115,8 @@ class _Preprocessor:
         i = 0
         while i < len(raw_lines):
             line = raw_lines[i]
-            lineno = i + 1
+            loc = SourceLocation(path, i + 1, 1)
             i += 1
-            loc = SourceLocation(path, lineno, 1)
             stripped = line.strip()
             active = all(f[0] for f in cond)
             if not stripped.startswith("`"):

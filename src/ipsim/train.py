@@ -195,7 +195,7 @@ def score_pairs(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensor
                 pairs: list[tuple]) -> list[float]:
     """The clamped cosine score (``detect.cosine_similarity``) of each
     (a, b, ...) pair. Unlike ``evaluate``, a zero or non-finite embedding
-    raises ZeroEmbedding or NonFiniteEmbedding, naming the design."""
+    raises ZeroEmbedding naming the design."""
     rows = zip(pairs, *pair_embeddings(params, hyper, graphs, pairs))
     return [cosine_similarity(emb_a, emb_b, pair[:2]) for pair, emb_a, emb_b in rows]
 

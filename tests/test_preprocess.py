@@ -106,6 +106,14 @@ def test_macro_depth_counts_nesting_not_uses():
     assert "wire [" + "+".join(["1"] * 40) + ":0] w;" in out
 
 
+@pytest.mark.parametrize("leaf", ["x", ""], ids=["text", "empty"])
+def test_macro_fan_out_is_bounded(leaf):
+    """`A<k> is 8 copies of `A<k-1>: 15 levels ask for 8**15 substitutions."""
+    lines = [f"`define A0 {leaf}"] + [f"`define A{k} " + " ".join([f"`A{k - 1}"] * 8) for k in range(1, 16)]
+    with pytest.raises(PreprocessError, match=r"^<text>:17:1: macro expansion beyond 1024 uses on one line$"):
+        preprocess_text("\n".join(lines) + "\nwire w = `A15;\n")
+
+
 def chain_of_macros(depth: int) -> str:
     """`M1 expands to `M2 and so on; `M<depth> expands to 1."""
     lines = [f"`define M{i} `M{i + 1}" for i in range(1, depth)] + [f"`define M{depth} 1"]
