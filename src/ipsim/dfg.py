@@ -76,12 +76,6 @@ class Graph:
             out[src].append(dst)
         return out
 
-    def predecessors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.edges:
-            out[dst].append(src)
-        return out
-
     def kind_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for node in self.nodes:
@@ -208,27 +202,31 @@ class _Builder:
                 self.table.add_full(name, sym)
 
     def _continuous(self, lhs: n.Expr, sym):
+        for name, hi, lo, driver in self._targets(lhs, sym, "continuous assignment target"):
+            if hi is None:
+                self.table.add_full(name, driver)
+            else:
+                self.table.add_slice(name, hi, lo, driver)
+
+    def _targets(self, lhs: n.Expr, sym, what: str = "assignment target"):
+        """Yield (signal, hi, lo, driver) for each signal the target
+        writes, hi and lo None for a whole signal. A concatenation hands
+        each part its slice of the value, most significant part first."""
         if isinstance(lhs, n.Ident):
-            self.table.add_full(lhs.name, sym)
-            return
-        if isinstance(lhs, n.BitSelect):
-            base, idx = self._select_base(lhs)
-            self.table.add_slice(base, idx, idx, sym)
-            return
-        if isinstance(lhs, n.PartSelect):
-            base, hi, lo = self._part_base(lhs)
-            self.table.add_slice(base, hi, lo, sym)
-            return
-        if isinstance(lhs, n.Concat):
-            total = _lhs_width(self.flat, lhs)
-            consumed = 0
-            for part in lhs.parts:
-                w = _lhs_width(self.flat, part)
-                hi = total - 1 - consumed
-                self._continuous(part, _part(sym, hi, hi - w + 1))
-                consumed += w
-            return
-        raise DfgError(f"{lhs.loc}: unsupported continuous assignment target")
+            yield lhs.name, None, None, sym
+        elif isinstance(lhs, n.BitSelect):
+            name, idx = self._select_base(lhs)
+            yield name, idx, idx, sym
+        elif isinstance(lhs, n.PartSelect):
+            yield (*self._part_base(lhs), sym)
+        elif isinstance(lhs, n.Concat):
+            widths = [_lhs_width(self.flat, part) for part in lhs.parts]
+            hi = sum(widths) - 1
+            for part, w in zip(lhs.parts, widths):
+                yield from self._targets(part, _part(sym, hi, hi - w + 1))
+                hi -= w
+        else:
+            raise DfgError(f"{lhs.loc}: unsupported {what}")
 
     def _select_base(self, sel: n.BitSelect) -> tuple[str, int]:
         if not isinstance(sel.base, n.Ident):
@@ -253,83 +251,59 @@ class _Builder:
                 self._store(stmt.lhs, self._conv(stmt.rhs, env), env)
             elif isinstance(stmt, n.IfStmt):
                 cond = self._conv(stmt.cond, env)
-                env_t = dict(env)
-                env_e = dict(env)
+                env_t, env_e = dict(env), dict(env)
                 self._walk(stmt.then_body, env_t)
                 self._walk(stmt.else_body, env_e)
-                self._merge(env, cond, env_t, env_e)
+                self._merge_arms(env, [(cond, env_t)], env_e)
             elif isinstance(stmt, n.CaseStmt):
                 self._walk_case(stmt, env)
             else:
                 raise DfgError(f"unexpected statement {type(stmt).__name__}")
 
-    def _merge(self, env: dict, cond, env_t: dict, env_e: dict):
-        changed = {k for k in env_t if env_t[k] is not env.get(k)}
-        changed |= {k for k in env_e if env_e[k] is not env.get(k)}
-        for name in changed:
-            hold = env.get(name, _Ref(name))
-            tval = env_t.get(name, hold)
-            eval_ = env_e.get(name, hold)
-            env[name] = tval if tval is eval_ else _Sym("Branch", "", (cond, tval, eval_))
-
     def _walk_case(self, stmt: n.CaseStmt, env: dict):
         subject = self._conv(stmt.subject, env)
         arms = []
-        default_env = None
+        default = env  # without a default arm, an unmatched subject holds
         for item in stmt.items:
             arm_env = dict(env)
             self._walk(item.body, arm_env)
             if item.labels is None:
-                default_env = arm_env
+                default = arm_env
             else:
                 cond = None
                 for label in item.labels:
                     test = _Sym("Eq", "", (subject, self._conv(label, env)))
                     cond = test if cond is None else _Sym("LOr", "", (cond, test))
                 arms.append((cond, arm_env))
+        self._merge_arms(env, arms, default)
+
+    def _merge_arms(self, env: dict, arms: list, default: dict):
+        """Fold the (cond, env) arms over the default env into env, the
+        first arm outermost. A path that leaves a signal alone holds its
+        value from before the branch."""
         changed = set()
-        for _, arm_env in arms:
+        for _, arm_env in [*arms, (None, default)]:
             changed |= {k for k in arm_env if arm_env[k] is not env.get(k)}
-        if default_env is not None:
-            changed |= {k for k in default_env if default_env[k] is not env.get(k)}
         for name in changed:
             hold = env.get(name, _Ref(name))
-            acc = default_env.get(name, hold) if default_env is not None else hold
+            acc = default.get(name, hold)
             for cond, arm_env in reversed(arms):
                 aval = arm_env.get(name, hold)
                 acc = aval if aval is acc else _Sym("Branch", "", (cond, aval, acc))
             env[name] = acc
 
     def _store(self, lhs: n.Expr, sym, env: dict):
-        if isinstance(lhs, n.Ident):
-            env[lhs.name] = sym
-            return
-        if isinstance(lhs, (n.BitSelect, n.PartSelect)):
-            if isinstance(lhs, n.BitSelect):
-                name, hi = self._select_base(lhs)
-                lo = hi
-            else:
-                name, hi, lo = self._part_base(lhs)
-            top, bot = _width_of(self.flat, name)
-            old = env.get(name, _Ref(name))
-            parts = []
-            if hi < top:
-                parts.append(_part(old, top, hi + 1))
-            parts.append(sym)
-            if lo > bot:
-                parts.append(_part(old, lo - 1, bot))
-            env[name] = sym if len(parts) == 1 else _Sym("Concat", "", tuple(parts))
-            return
-        if isinstance(lhs, n.Concat):
-            total = _lhs_width(self.flat, lhs)
-            consumed = 0
-            for part in lhs.parts:
-                w = _lhs_width(self.flat, part)
-                hi = total - 1 - consumed
-                self._store(part, _part(sym, hi, hi - w + 1), env)
-                consumed += w
-            return
-        raise DfgError(f"{lhs.loc}: unsupported assignment target")
+        for name, hi, lo, driver in self._targets(lhs, sym):
+            if hi is not None:
+                top, bot = _width_of(self.flat, name)
+                old = env.get(name, _Ref(name))
+                parts = [driver]
+                if hi < top:
+                    parts.insert(0, _part(old, top, hi + 1))
+                if lo > bot:
+                    parts.append(_part(old, lo - 1, bot))
+                driver = driver if len(parts) == 1 else _Sym("Concat", "", tuple(parts))
+            env[name] = driver
 
     # --- expression conversion -------------------------------------------
 
@@ -566,79 +540,67 @@ def deserialize(text: str) -> Graph:
 
 # --- isomorphism ------------------------------------------------------------
 
-def _refine_colors(graph: Graph) -> list[tuple]:
-    anchored = ("Input", "Output", "Inout", "Constant")
-    colors: list = [
-        (nd.kind, nd.label if nd.kind in anchored else "", nd.id in set(graph.roots))
-        for nd in graph.nodes
-    ]
-    succ = graph.successors()
-    pred = graph.predecessors()
-    for _ in range(graph.num_nodes + 1):
-        nxt = [
-            (colors[i], tuple(sorted(colors[j] for j in succ[i])),
-             tuple(sorted(colors[j] for j in pred[i])))
-            for i in range(graph.num_nodes)
-        ]
-        if len(set(nxt)) == len(set(colors)):
-            return nxt
-        colors = nxt
-    return colors
+# Colourings the individualization search may refine before giving up.
+ISOMORPHISM_BUDGET = 10_000
 
 
-def is_isomorphic(a: Graph, b: Graph, node_budget: int = 200000) -> bool:
-    """Kind- and anchor-preserving isomorphism via color refinement plus
-    a bounded backtracking check of an explicit bijection."""
-    if a.num_nodes != b.num_nodes or len(set(a.edges)) != len(set(b.edges)):
-        return False
-    ca = _refine_colors(a)
-    cb = _refine_colors(b)
-    hist_a: dict = {}
-    hist_b: dict = {}
-    for c in ca:
-        hist_a[c] = hist_a.get(c, 0) + 1
-    for c in cb:
-        hist_b[c] = hist_b.get(c, 0) + 1
-    if hist_a != hist_b:
-        return False
+def _refine(colors: list[int], succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+    """Split colour classes by their successors' and predecessors' colour
+    multisets until none splits. Colours come back as ints 0..k-1."""
+    count = len(set(colors))
+    while True:
+        ids: dict[tuple, int] = {}
+        colors = [ids.setdefault((c, tuple(sorted(colors[j] for j in out)),
+                                  tuple(sorted(colors[j] for j in into))), len(ids))
+                  for c, out, into in zip(colors, succ, pred)]
+        if len(ids) == count:
+            return colors
+        count = len(ids)
 
-    by_color: dict = {}
-    for j, c in enumerate(cb):
-        by_color.setdefault(c, []).append(j)
-    candidates = [by_color[c] for c in ca]
-    order = sorted(range(a.num_nodes), key=lambda i: len(candidates[i]))
-    succ_a = [set(s) for s in a.successors()]
-    succ_b = [set(s) for s in b.successors()]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+
+def is_isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism that keeps kinds, root flags and every label but a
+    Signal's (a renamable wire name).
+
+    Individualization-refinement on the disjoint union of the graphs:
+    colour refinement, then, while a class holds more than one node a
+    side, the first ``a`` node of the smallest such class shares a fresh
+    colour with each ``b`` node of its class in turn, taken from an
+    explicit stack. A stable colouring that pairs each ``a`` node with
+    one ``b`` node is an isomorphism."""
+    offset = a.num_nodes
+    succ: list[list[int]] = [[] for _ in range(offset + b.num_nodes)]
+    pred: list[list[int]] = [[] for _ in succ]
+    ids: dict[tuple, int] = {}
+    colors: list[int] = []
+    for base, graph in ((0, a), (offset, b)):
+        for s, d in set(graph.edges):
+            succ[base + s].append(base + d)
+            pred[base + d].append(base + s)
+        roots = set(graph.roots)
+        for i, nd in enumerate(graph.nodes):
+            key = (nd.kind, "" if nd.kind == "Signal" else nd.label, i in roots)
+            colors.append(ids.setdefault(key, len(ids)))
+
+    stack: list[tuple[list[int], int, int]] = [(colors, -1, -1)]
     steps = 0
-
-    def attempt(pos: int) -> bool:
-        nonlocal steps
-        if pos == len(order):
-            return True
+    while stack:
         steps += 1
-        if steps > node_budget:
+        if steps > ISOMORPHISM_BUDGET:
             raise DfgError("isomorphism search budget exceeded")
-        i = order[pos]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = True
-            for i2, j2 in mapping.items():
-                if (i2 in succ_a[i]) != (j2 in succ_b[j]) or (i in succ_a[i2]) != (j in succ_b[j2]):
-                    ok = False
-                    break
-            if (i in succ_a[i]) != (j in succ_b[j]):
-                ok = False
-            if not ok:
-                continue
-            mapping[i] = j
-            used.add(j)
-            if attempt(pos + 1):
-                return True
-            del mapping[i]
-            used.discard(j)
-        return False
-
-    return attempt(0)
+        colors, u, v = stack.pop()
+        if u >= 0:
+            colors = colors[:]
+            colors[u] = colors[v] = max(colors) + 1
+        colors = _refine(colors, succ, pred)
+        classes: dict[int, tuple[list[int], list[int]]] = {}
+        for i, c in enumerate(colors):
+            classes.setdefault(c, ([], []))[i >= offset].append(i)
+        if any(len(left) != len(right) for left, right in classes.values()):
+            continue
+        unresolved = [cls for cls in classes.values() if len(cls[0]) > 1]
+        if not unresolved:
+            return True
+        left, right = min(unresolved, key=lambda cls: len(cls[0]))
+        stack.extend((colors, left[0], w) for w in reversed(right))
+    return False

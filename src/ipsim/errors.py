@@ -50,10 +50,6 @@ class UnsupportedConstruct(FrontendError):
         self.construct = construct
         super().__init__(f"unsupported: {construct}", location)
 
-    def diagnostic(self) -> str:
-        loc = self.location
-        return f"{loc.path}:{loc.line}:{loc.col}: unsupported: {self.construct}"
-
 
 class ElaborationError(FrontendError):
     pass

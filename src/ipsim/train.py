@@ -226,16 +226,17 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         if config.shuffle:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, epoch])))
             order = rng.permutation(order)
-        loss_sum = 0.0
+        # Summed once per epoch in pair order, so the epoch loss does not
+        # depend on the order the shuffled batches visit the pairs in.
+        losses = np.empty(len(train_pairs))
         correct = 0
         for batch_idx in range(0, len(order), config.batch_size):
             batch = order[batch_idx:batch_idx + config.batch_size]
-            loss_sum_b, correct_b = _train_batch(
+            losses[batch], correct_b = _train_batch(
                 params, optimizer, designs, names, first[batch], second[batch],
                 labels[batch], hyper, config, epoch, batch_idx // config.batch_size)
-            loss_sum += loss_sum_b
             correct += correct_b
-        train_loss = loss_sum / len(train_pairs)
+        train_loss = float(losses.sum()) / len(train_pairs)
         train_acc = correct / len(train_pairs)
         test_acc = None
         if test_pairs:
@@ -276,9 +277,10 @@ def fit(corpus, train_pairs, test_pairs, hyper: Hyper, config: TrainConfig,
 def _train_batch(params: ModelParams, optimizer: _Optimizer,
                  designs: GraphTensors, names: list[str], first: np.ndarray,
                  second: np.ndarray, labels: np.ndarray, hyper: Hyper,
-                 config: TrainConfig, epoch: int, batch_no: int) -> tuple[float, int]:
+                 config: TrainConfig, epoch: int, batch_no: int) -> tuple[np.ndarray, int]:
     """One optimizer step on the pairs (first[i], second[i], labels[i]),
-    given as positions in ``names`` and in the pack ``designs``."""
+    given as positions in ``names`` and in the pack ``designs``. Returns
+    each pair's loss and the number of pairs judged right."""
     used, rows = np.unique(np.concatenate((first, second)), return_inverse=True)
     batch = take(designs, used)
     masks = None
@@ -307,7 +309,7 @@ def _train_batch(params: ModelParams, optimizer: _Optimizer,
         if not np.isfinite(arr).all():
             raise NonFiniteLoss(f"non-finite gradient in epoch {epoch} batch {batch_no}")
     optimizer.step(params, grads)
-    return float(loss.sum()), int(np.count_nonzero(similar == (score > config.delta)))
+    return loss, int(np.count_nonzero(similar == (score > config.delta)))
 
 
 def write_trace(path, trace: list[EpochStats]):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_edges, random_graph_edges
+from conftest import CORPUS_ROOT, graph_from_edges, random_graph_edges
 import ipsim
+from ipsim import dfg
 from ipsim.dfg import (
     KIND_INDEX,
     NODE_KINDS,
@@ -23,9 +26,10 @@ from ipsim.dfg import (
     trim,
 )
 from ipsim.dfg import build_dfg
-from ipsim.errors import DfgFormatError, MultipleContinuousDrivers, UndrivenSignal
+from ipsim.errors import DfgError, DfgFormatError, MultipleContinuousDrivers, UndrivenSignal
 from ipsim.frontend import flatten_hierarchy, parse
-from ipsim.pipeline import compile_text
+from ipsim.pipeline import compile_design, compile_text
+from ipsim.variants import make_variant
 from reference import has_path, trim_reference
 
 
@@ -123,6 +127,32 @@ endmodule
 def test_undriven_output_rejected():
     with pytest.raises(UndrivenSignal):
         build_raw("module m(input a, output y); endmodule")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("assign P = a; assign y = a;", "unsupported continuous assignment target"),
+    ("always @(*) begin P = a; y = a; end", "unsupported assignment target"),
+])
+def test_parameter_is_not_an_assignment_target(body, message):
+    with pytest.raises(DfgError, match=f": {message}$"):
+        build_raw(f"module m(input a, output reg y); parameter P = 1; {body} endmodule")
+
+
+# SHA-256 over the serialized graphs of every corpus design, trimmed and
+# untrimmed, in path order. Node ids are part of those bytes, so a change
+# to the builder, trim or canonical order that renumbers any node shows
+# here; update the digest only for a change meant to alter graphs.
+CORPUS_GRAPHS_SHA256 = "12000fc9a8fdddb3d70f7b9bfe9de549469dc14381453b81839d970de67f1c9c"
+
+
+def test_corpus_graph_bytes_are_pinned():
+    digest = hashlib.sha256()
+    paths = sorted(CORPUS_ROOT.rglob("*.v"))
+    for path in paths:
+        for trimmed in (True, False):
+            digest.update(serialize(compile_design([path], trimmed=trimmed)).encode() + b"\n")
+    assert len(paths) == 92
+    assert digest.hexdigest() == CORPUS_GRAPHS_SHA256
 
 
 def test_trim_is_idempotent_on_designs():
@@ -338,6 +368,48 @@ def test_input_labels_anchor_isomorphism():
     # Same node/edge multiset, but inputs are named anchors: a-b vs a-b
     # with swapped declarations still matches (labels a/b both exist).
     assert is_isomorphic(a, b)
+
+
+def test_select_labels_anchor_isomorphism():
+    a = compile_text("module m(input [1:0] a, output y); assign y = a[0] & ~a[1]; endmodule")
+    b = compile_text("module m(input [1:0] a, output y); assign y = a[1] & ~a[0]; endmodule")
+    assert not is_isomorphic(a, b)
+
+
+def timed_isomorphic(a: Graph, b: Graph) -> tuple[bool, float]:
+    start = time.perf_counter()
+    return is_isomorphic(a, b), time.perf_counter() - start
+
+
+def test_wide_vector_adder_isomorphism_is_fast():
+    text = vector_adder(64)
+    g = compile_text(text)
+    variant = compile_text(make_variant(text, seed=0, index=0))
+    for other in (g, variant):
+        same, seconds = timed_isomorphic(g, other)
+        assert same and seconds < 1.0, seconds
+
+
+def test_large_parity_tree_isomorphism_is_fast():
+    _, raw = parity_tree(1024, random.Random(3))
+    g = trim(raw)
+    assert g.num_nodes == 2048
+    same, seconds = timed_isomorphic(g, g)
+    assert same and seconds < 5.0, seconds
+
+
+def test_isomorphism_search_is_bounded(monkeypatch):
+    # Unlabelled rings refine to one colour class, so only the search
+    # can tell three 4-rings from two 6-rings; it needs more than one step.
+    def rings(sizes):
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        edges = [(s + i, s + (i + 1) % size) for s, size in zip(starts, sizes) for i in range(size)]
+        return Graph("rings", [Node(i, "Not") for i in range(sum(sizes))], edges, [])
+    assert is_isomorphic(rings([4, 4, 4]), rings([4, 4, 4]))
+    assert not is_isomorphic(rings([4, 4, 4]), rings([6, 6]))
+    monkeypatch.setattr(dfg, "ISOMORPHISM_BUDGET", 1)
+    with pytest.raises(DfgError, match="isomorphism search budget exceeded"):
+        is_isomorphic(rings([4, 4, 4]), rings([6, 6]))
 
 
 @settings(max_examples=40, deadline=None)

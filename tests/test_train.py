@@ -178,12 +178,14 @@ def test_non_finite_loss_aborts():
 def test_early_stopping_respects_patience():
     gts, pairs = toy_setup()
     # With dropout off and a zero learning rate nothing ever improves,
-    # so the run stops after exactly 1 (baseline) + patience epochs.
+    # so the run stops after exactly 1 (baseline) + patience epochs,
+    # whatever order each seed's shuffles visit the pairs in.
     frozen = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout="max", dropout=0.0)
-    config = TrainConfig(lr=0.0, epochs=50, seed=3, patience=2)
-    result = train(gts, pairs, pairs, frozen, config)
-    assert result.stopped_early
-    assert len(result.trace) == 3
+    for seed in (3, 7, 9):
+        config = TrainConfig(lr=0.0, epochs=50, seed=seed, patience=2)
+        result = train(gts, pairs, pairs, frozen, config)
+        assert result.stopped_early, f"seed {seed}"
+        assert len(result.trace) == 3, f"seed {seed}"
     no_stop = TrainConfig(lr=0.0, epochs=5, seed=3, patience=None)
     result = train(gts, pairs, pairs, frozen, no_stop)
     assert not result.stopped_early
