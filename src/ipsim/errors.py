@@ -145,6 +145,15 @@ class CorpusError(IpsimError):
     pass
 
 
+class DesignTooDeep(IpsimError):
+    """A design nests deeper than the compiler's recursive walkers can
+    follow within the interpreter's recursion limit."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"design nests too deep to compile (recursion limit {limit})")
+
+
 class PipelineError(IpsimError):
     """Wraps an upstream failure with the stage and design that caused it."""
 

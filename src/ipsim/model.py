@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # csr_matvecs: scipy's own P @ X kernel
 
 from ipsim.encode import FEATURE_DIM, GraphTensors
 from ipsim.errors import ConfigError, ShapeMismatch
@@ -92,12 +94,30 @@ def add_scaled(dst: ModelParams, src: ModelParams, scale: float = 1.0):
     dst.score += scale * src.score
 
 
-def gcn_layer(p, x: np.ndarray, w: np.ndarray, activate: bool = True) -> np.ndarray:
-    """One propagation step: relu(P X W), relu optional."""
+def _propagate(p, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P X for a dense or CSR propagation matrix, written into ``out``
+    (C-contiguous float64) when one is given. scipy's product takes no
+    ``out``: it zeroes a new array and has ``csr_matvecs`` add P X into
+    it. Here that array is ``out``, so the values are those of ``p @ x``
+    bit for bit."""
+    if out is None:
+        return np.asarray(p @ x)
+    if not sp.issparse(p):
+        return np.matmul(p, x, out=out)
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(*p.shape, x.shape[1], p.indptr, p.indices, p.data,
+                             x.ravel(), out.ravel())
+    return out
+
+
+def gcn_layer(p, x: np.ndarray, w: np.ndarray, activate: bool = True,
+              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """One propagation step: relu(P X W), relu optional. The result goes
+    to ``out`` and X W to ``scratch`` when they are given."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"features {x.shape} incompatible with weight {w.shape}")
-    z = np.asarray(p @ (x @ w))
-    return np.maximum(z, 0.0) if activate else z
+    z = _propagate(p, np.matmul(x, w, out=scratch), out)
+    return np.maximum(z, 0.0, out=out) if activate else z
 
 
 @dataclass
@@ -121,9 +141,14 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
     bounds = _bounds(offsets, alpha.shape[0])
     sizes = np.diff(bounds)
     keep = np.minimum(np.maximum(np.ceil(ratio * sizes).astype(np.int64), 1), sizes)
-    segment = np.repeat(np.arange(sizes.size), sizes)
+    # Segment ids in the smallest integer type, which numpy sorts stably
+    # by radix.
+    segment = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
     position = np.arange(alpha.shape[0])
-    order = np.lexsort((position, -alpha, segment))
+    # Stable sorts keep ties in row order: by score, then by segment. The
+    # result is ``np.lexsort((-alpha, segment))``, in half its time.
+    by_score = np.argsort(-alpha, kind="stable")
+    order = by_score[np.argsort(segment[by_score], kind="stable")]
     # ``order`` keeps every segment on its own rows, so a row's rank in
     # its segment is its distance from the segment's first row.
     return np.sort(order[position - bounds[segment] < keep[segment]])
@@ -131,7 +156,7 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
 
 def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float,
              offsets: np.ndarray | None = None) -> PoolResult:
-    alpha = np.asarray(p @ (x @ score)).ravel()
+    alpha = _propagate(p, x @ score).ravel()
     sel = top_k_indices(alpha, ratio, offsets)
     gate = np.tanh(alpha[sel])
     kept = None if offsets is None else np.searchsorted(sel, offsets)
@@ -156,6 +181,42 @@ def readout(x: np.ndarray, mode: str = "max", offsets: np.ndarray | None = None)
 
 
 @dataclass
+class Buffers:
+    """Arrays that ``make_dropout_masks``, ``forward`` and ``backward``
+    write into through ``out=`` instead of allocating, so that a loop of
+    batches reuses the same memory. ``alloc(hyper, size)`` makes them for
+    packs of up to ``size`` rows; a call writes views of the leading rows
+    it needs (``rows``).
+    Scratch that is dead before a later step writes it shares one
+    array: the dropout draws, X W and P d_h all go to ``scratch``. A
+    cache made with buffers holds views of them, so it is valid until
+    the next call that writes them."""
+
+    features: np.ndarray         # one-hot features, cast to float64
+    pre_act: list[np.ndarray]    # z_l per layer
+    hidden: list[np.ndarray]     # h_{l+1} per layer
+    masks: list[np.ndarray]      # bool keep mask per layer
+    scratch: np.ndarray
+    grad: np.ndarray             # d_h
+
+    @classmethod
+    def alloc(cls, hyper: Hyper, size: int) -> "Buffers":
+        def per_layer(dtype=np.float64) -> list[np.ndarray]:
+            return [np.empty((size, dout), dtype) for _, dout in hyper.layer_dims()]
+
+        return cls(np.empty((size, hyper.feat_dim)), per_layer(), per_layer(), per_layer(bool),
+                   np.empty((size, hyper.hidden_dim)), np.empty((size, hyper.hidden_dim)))
+
+    def rows(self, count: int) -> "Buffers":
+        """Views of the first ``count`` rows of every buffer."""
+        if count > len(self.features):
+            raise ShapeMismatch(f"{count} rows do not fit in buffers of {len(self.features)}")
+        return Buffers(self.features[:count], [z[:count] for z in self.pre_act],
+                       [h[:count] for h in self.hidden], [m[:count] for m in self.masks],
+                       self.scratch[:count], self.grad[:count])
+
+
+@dataclass
 class ForwardCache:
     """Everything the reverse pass needs, captured during forward."""
 
@@ -167,26 +228,39 @@ class ForwardCache:
     embedding: np.ndarray | None = None
 
 
-def make_dropout_masks(hyper: Hyper, num_nodes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One boolean keep mask per conv layer, drawn in layer order."""
-    return [rng.random((num_nodes, dout)) >= hyper.dropout for _, dout in hyper.layer_dims()]
+def make_dropout_masks(hyper: Hyper, num_nodes: int, rng: np.random.Generator,
+                       buffers: Buffers | None = None) -> list[np.ndarray]:
+    """One boolean keep mask per conv layer, drawn in layer order; into
+    ``buffers`` when they are given."""
+    out = buffers and buffers.rows(num_nodes)
+    return [np.greater_equal(rng.random((num_nodes, dout), out=out and out.scratch),
+                             hyper.dropout, out=out and out.masks[l])
+            for l, (_, dout) in enumerate(hyper.layer_dims())]
 
 
 def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
-            masks: list[np.ndarray] | None = None) -> ForwardCache:
+            masks: list[np.ndarray] | None = None,
+            buffers: Buffers | None = None) -> ForwardCache:
     """Embed one graph or each graph of a pack. Passing masks (rows as
-    in ``gt``) enables (inverted) dropout."""
+    in ``gt``) enables (inverted) dropout. With ``buffers``, the layers
+    write into them, and the features are cast to float64 there once,
+    for this pass and for ``backward``."""
     if gt.x.shape[1] != hyper.feat_dim:
         raise ShapeMismatch(f"expected {hyper.feat_dim} features, got {gt.x.shape[1]}")
     if len(params.weights) != hyper.num_layers:
         raise ShapeMismatch(f"expected {hyper.num_layers} layers, got {len(params.weights)}")
+    out = buffers and buffers.rows(gt.num_nodes)
     cache = ForwardCache(tensors=gt, masks=masks)
     keep = 1.0 - hyper.dropout
     h = gt.x
+    if out:
+        np.copyto(out.features, h)
+        h = out.features
     cache.hidden.append(h)
     for l, w in enumerate(params.weights):
-        z = gcn_layer(gt.p, h, w, activate=False)
-        h = np.maximum(z, 0.0)
+        z = gcn_layer(gt.p, h, w, activate=False, out=out and out.pre_act[l],
+                      scratch=out and out.scratch)
+        h = np.maximum(z, 0.0, out=out and out.hidden[l])
         if masks is not None and hyper.dropout > 0.0:
             h *= masks[l]
             h /= keep
@@ -203,7 +277,7 @@ def embed(params: ModelParams, gt: GraphTensors, hyper: Hyper) -> np.ndarray:
 
 
 def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
-             d_embedding: np.ndarray) -> ModelParams:
+             d_embedding: np.ndarray, buffers: Buffers | None = None) -> ModelParams:
     """Exact gradient of the embedding against every parameter; for a
     pack, the sum over its graphs of each graph's gradient, with one
     ``d_embedding`` row per graph.
@@ -211,9 +285,11 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
     Top-k selection is piecewise constant, so its gradient contribution
     is zero; max readout sends gradient to the first maximal row of each
     segment and column, so ties, all-zero columns included, go to the
-    lower row.
+    lower row. With ``buffers`` (those ``forward`` wrote the cache
+    into), d_h and P d_h go there.
     """
     gt = cache.tensors
+    out = buffers and buffers.rows(gt.num_nodes)
     pool = cache.pool
     sel = pool.selected
     k, dim = pool.x.shape
@@ -224,9 +300,10 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
 
     if hyper.readout == "max":
         is_max = pool.x == cache.embedding.reshape(sizes.size, dim)[segment]
-        rows = np.where(is_max, np.arange(k)[:, None], k)
+        first = np.minimum.reduceat(np.where(is_max, np.arange(k)[:, None], k), bounds[:-1],
+                                    axis=0)
         d_xpool = np.zeros((k, dim))
-        d_xpool[np.minimum.reduceat(rows, bounds[:-1], axis=0), np.arange(dim)] = d_out
+        d_xpool[first, np.arange(dim)] = d_out
     elif hyper.readout == "mean":
         d_xpool = d_out[segment] / sizes[segment, None]
     else:
@@ -239,10 +316,11 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
     # P is symmetric, so P^T d = P d, and (P h)^T d = h^T (P d): each
     # step propagates its output gradient once.
     grads = zeros_like_params(params)
-    d_prop = np.asarray(gt.p @ d_alpha)[:, None]
+    d_prop = _propagate(gt.p, d_alpha)[:, None]
     grads.score[:] = cache.hidden[-1].T @ d_prop
-    d_h = d_prop * params.score.ravel()
-    d_h[sel] += d_xpool * pool.gate[:, None]
+    d_h = np.multiply(d_prop, params.score.ravel(), out=out and out.grad)
+    d_xpool *= pool.gate[:, None]
+    d_h[sel] += d_xpool
 
     keep = 1.0 - hyper.dropout
     for l in range(hyper.num_layers - 1, -1, -1):
@@ -250,8 +328,8 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
             d_h *= cache.masks[l]
             d_h /= keep
         d_h *= cache.pre_act[l] > 0.0
-        d_prop = np.asarray(gt.p @ d_h)
+        d_prop = _propagate(gt.p, d_h, out and out.scratch)
         grads.weights[l][:] = cache.hidden[l].T @ d_prop
         if l:  # the features need no gradient
-            d_h = d_prop @ params.weights[l].T
+            d_h = np.matmul(d_prop, params.weights[l].T, out=out and out.grad)
     return grads

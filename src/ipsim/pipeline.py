@@ -3,15 +3,19 @@
 Runs preprocess, parse, elaborate, and graph construction in order and
 rewraps failures as PipelineError tagged with the failing stage, while
 keeping the original exception on .cause for callers that dispatch on
-it (corpus scans skip UnsupportedConstruct, for example).
+it (corpus scans skip UnsupportedConstruct, for example). A design that
+nests deeper than a stage's recursive walkers can follow raises
+RecursionError there; it is rewrapped the same way, with DesignTooDeep
+as the cause.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from ipsim.dfg import Graph, build_dfg
-from ipsim.errors import IpsimError, PipelineError
+from ipsim.errors import DesignTooDeep, IpsimError, PipelineError
 from ipsim.frontend import SourceUnit, flatten_hierarchy, parse_unit, preprocess
 from ipsim.frontend.flatten import FlatModule
 
@@ -23,6 +27,8 @@ def _stage(stage: str, design: str, fn, *args, **kwargs):
         raise
     except IpsimError as exc:
         raise PipelineError(stage, design, exc) from exc
+    except RecursionError as exc:
+        raise PipelineError(stage, design, DesignTooDeep(sys.getrecursionlimit())) from exc
 
 
 def unit_from_paths(paths: list[str | Path], top: str | None = None,

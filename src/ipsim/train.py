@@ -3,15 +3,18 @@
 Pairs carry labels +1 (same source design) or -1 (unrelated). The loss
 is the cosine embedding hinge: positive pairs pay 1 - score, negative
 pairs pay max(0, score - margin). ``train`` packs the designs of the
-training pairs once (``ipsim.encode.pack``); each mini-batch gathers
-the designs its pairs name from that pack, in sorted-name order, and
-embeds them all in one packed forward pass, so each design is embedded
-once per batch. The batch's dropout masks come from one generator per
-batch, seeded with (seed, epoch, batch number) and drawn in packed row
-order. The pair losses and their gradients are computed for the whole
-batch at once, and one packed backward pass returns the batch gradient.
-``pair_embeddings`` likewise embeds every design a list of pairs names
-in one pass; ``evaluate`` (the training-time monitor) and
+training pairs once (``PackedPairs``, built on ``ipsim.encode.pack``);
+each mini-batch gathers the designs its pairs name from that pack, in
+sorted-name order, and embeds them all in one packed forward pass, so
+each design is embedded once per batch. The batch's dropout masks come
+from one generator per batch, seeded with (seed, epoch, batch number)
+and drawn in packed row order. The pair losses and their gradients are
+computed for the whole batch at once, and one packed backward pass
+returns the batch gradient. One ``model.Buffers`` serves every batch
+and every evaluation of a ``train`` call, so they write into the same
+arrays instead of allocating their own. ``PackedPairs`` likewise embeds
+every design a list of pairs names in one pass; ``evaluate`` (the
+training-time monitor, whose test designs ``train`` packs once) and
 ``score_pairs`` (the scorer behind every report) score its rows.
 ``fit`` runs one experiment on a loaded corpus and returns its
 checkpoint bytes.
@@ -29,6 +32,7 @@ from ipsim.detect import check_delta, cosine_similarity
 from ipsim.encode import VOCAB_VERSION, GraphTensors, pack, take
 from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
 from ipsim.model import (
+    Buffers,
     Hyper,
     ModelParams,
     add_scaled,
@@ -159,36 +163,52 @@ def _check_pairs(graphs: dict[str, GraphTensors], pairs: list[Pair]):
             raise ValueError(f"pair label must be +1 or -1, got {label!r}")
 
 
-def _index_pairs(pairs: list[tuple]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The sorted names the (a, b, ...) pairs use, and each pair's two
-    positions in that list, as arrays."""
-    names = sorted({name for pair in pairs for name in pair[:2]})
-    position = {name: i for i, name in enumerate(names)}
-    index = np.array([(position[pair[0]], position[pair[1]]) for pair in pairs],
-                     dtype=np.int64).reshape(-1, 2)
-    return names, index[:, 0], index[:, 1]
+@dataclass
+class PackedPairs:
+    """Every design a list of (a, b, ...) pairs names, packed once in
+    sorted-name order, and each pair's two positions in that pack."""
+
+    names: list[str]
+    designs: GraphTensors
+    first: np.ndarray
+    second: np.ndarray
+
+    @classmethod
+    def of(cls, graphs: dict[str, GraphTensors], pairs: list[tuple]) -> "PackedPairs":
+        names = sorted({name for pair in pairs for name in pair[:2]})
+        position = {name: i for i, name in enumerate(names)}
+        index = np.array([(position[pair[0]], position[pair[1]]) for pair in pairs],
+                         dtype=np.int64).reshape(-1, 2)
+        return cls(names, pack([graphs[name] for name in names]), index[:, 0], index[:, 1])
+
+    def embeddings(self, params: ModelParams, hyper: Hyper,
+                   buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The embedding rows of each pair's two designs, from one packed
+        forward pass (which writes into ``buffers`` when given)."""
+        emb = forward(params, self.designs, hyper, buffers=buffers).embedding
+        return emb[self.first], emb[self.second]
 
 
-def pair_embeddings(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
-                    pairs: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The embedding rows of each (a, b, ...) pair's two designs. Every
-    design the pairs name is embedded once, in one packed forward pass."""
-    names, first, second = _index_pairs(pairs)
-    emb = forward(params, pack([graphs[name] for name in names]), hyper).embedding
-    return emb[first], emb[second]
+def _count_correct(scores: np.ndarray, labels: np.ndarray, delta: float) -> int:
+    """Pairs whose verdict (score > delta) matches their label."""
+    return int(np.count_nonzero((labels == 1) == (scores > delta)))
 
 
 def evaluate(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
-             pairs: list[Pair], delta: float) -> tuple[float, list[float]]:
-    """Accuracy of score>delta against pair labels, plus raw scores."""
+             pairs: list[Pair], delta: float, packed: PackedPairs | None = None,
+             buffers: Buffers | None = None) -> tuple[float, list[float]]:
+    """Accuracy of score>delta against pair labels, plus raw scores. A
+    caller that evaluates the same pairs again and again passes them
+    packed once (``PackedPairs.of(graphs, pairs)``), and may pass the
+    ``buffers`` its forward pass writes into."""
     if not pairs:
         return 0.0, []
     # _cosine_grads scores a dead embedding as 0 instead of raising, so a
     # mid-training evaluation never aborts the run.
-    scores = _cosine_grads(*pair_embeddings(params, hyper, graphs, pairs))[0]
+    packed = packed or PackedPairs.of(graphs, pairs)
+    scores = _cosine_grads(*packed.embeddings(params, hyper, buffers))[0]
     labels = np.array([label for _, _, label in pairs])
-    correct = np.count_nonzero((labels == 1) == (scores > delta))
-    return correct / len(pairs), scores.tolist()
+    return _count_correct(scores, labels, delta) / len(pairs), scores.tolist()
 
 
 def score_pairs(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensors],
@@ -196,7 +216,7 @@ def score_pairs(params: ModelParams, hyper: Hyper, graphs: dict[str, GraphTensor
     """The clamped cosine score (``detect.cosine_similarity``) of each
     (a, b, ...) pair. Unlike ``evaluate``, a zero or non-finite embedding
     raises ZeroEmbedding naming the design."""
-    rows = zip(pairs, *pair_embeddings(params, hyper, graphs, pairs))
+    rows = zip(pairs, *PackedPairs.of(graphs, pairs).embeddings(params, hyper))
     return [cosine_similarity(emb_a, emb_b, pair[:2]) for pair, emb_a, emb_b in rows]
 
 
@@ -209,9 +229,12 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         _check_pairs(graphs, test_pairs)
     if not train_pairs:
         raise ValueError("no training pairs")
-    names, first, second = _index_pairs(train_pairs)
+    train_set = PackedPairs.of(graphs, train_pairs)
+    test_set = PackedPairs.of(graphs, test_pairs) if test_pairs else None
     labels = np.array([label for _, _, label in train_pairs])
-    designs = pack([graphs[name] for name in names])
+    # One set of buffers serves every batch and every evaluation of the
+    # call: no batch is larger than the pack of all training designs.
+    buffers = Buffers.alloc(hyper, max(s.designs.num_nodes for s in (train_set, test_set) if s))
     params = init.copy() if init is not None else init_params(hyper, config.seed)
     optimizer = _Optimizer(config, params)
     trace: list[EpochStats] = []
@@ -233,14 +256,15 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
         for batch_idx in range(0, len(order), config.batch_size):
             batch = order[batch_idx:batch_idx + config.batch_size]
             losses[batch], correct_b = _train_batch(
-                params, optimizer, designs, names, first[batch], second[batch],
-                labels[batch], hyper, config, epoch, batch_idx // config.batch_size)
+                params, optimizer, train_set, buffers, batch, labels[batch], hyper, config,
+                epoch, batch_idx // config.batch_size)
             correct += correct_b
         train_loss = float(losses.sum()) / len(train_pairs)
         train_acc = correct / len(train_pairs)
         test_acc = None
         if test_pairs:
-            test_acc, _ = evaluate(params, hyper, graphs, test_pairs, config.delta)
+            test_acc, _ = evaluate(params, hyper, graphs, test_pairs, config.delta, test_set,
+                                   buffers)
         trace.append(EpochStats(epoch, train_loss, train_acc, test_acc))
         if log is not None:
             log(trace[-1])
@@ -274,42 +298,42 @@ def fit(corpus, train_pairs, test_pairs, hyper: Hyper, config: TrainConfig,
     return result, save_checkpoint(None, result.params, hyper, meta)
 
 
-def _train_batch(params: ModelParams, optimizer: _Optimizer,
-                 designs: GraphTensors, names: list[str], first: np.ndarray,
-                 second: np.ndarray, labels: np.ndarray, hyper: Hyper,
+def _train_batch(params: ModelParams, optimizer: _Optimizer, train_set: PackedPairs,
+                 buffers: Buffers, pairs: np.ndarray, labels: np.ndarray, hyper: Hyper,
                  config: TrainConfig, epoch: int, batch_no: int) -> tuple[np.ndarray, int]:
-    """One optimizer step on the pairs (first[i], second[i], labels[i]),
-    given as positions in ``names`` and in the pack ``designs``. Returns
-    each pair's loss and the number of pairs judged right."""
+    """One optimizer step on the training pairs at positions ``pairs``,
+    with their ``labels``. Returns each pair's loss and the number of
+    pairs judged right."""
+    first, second = train_set.first[pairs], train_set.second[pairs]
     used, rows = np.unique(np.concatenate((first, second)), return_inverse=True)
-    batch = take(designs, used)
+    batch = take(train_set.designs, used)
     masks = None
     if hyper.dropout > 0.0:
         seq = np.random.SeedSequence([config.seed, epoch, batch_no])
-        masks = make_dropout_masks(hyper, batch.num_nodes, np.random.Generator(np.random.PCG64(seq)))
-    cache = forward(params, batch, hyper, masks=masks)
+        masks = make_dropout_masks(hyper, batch.num_nodes, np.random.Generator(np.random.PCG64(seq)),
+                                   buffers)
+    cache = forward(params, batch, hyper, masks=masks, buffers=buffers)
     row_a, row_b = rows[:len(first)], rows[len(first):]
     score, d_a, d_b = _cosine_grads(cache.embedding[row_a], cache.embedding[row_b])
 
     loss = cosine_embedding_loss(score, labels, config.margin)
     bad = np.flatnonzero(~np.isfinite(loss))
     if bad.size:
-        i = bad[0]
+        names, i = train_set.names, bad[0]
         raise NonFiniteLoss(f"epoch {epoch} batch {batch_no} pair "
                             f"({names[first[i]]}, {names[second[i]]})")
-    similar = labels == 1
-    upstream = np.where(similar, -1.0, (score > config.margin).astype(np.float64))[:, None]
+    upstream = np.where(labels == 1, -1.0, (score > config.margin).astype(np.float64))[:, None]
     d_emb = np.zeros_like(cache.embedding)
     np.add.at(d_emb, row_a, upstream * d_a)
     np.add.at(d_emb, row_b, upstream * d_b)
 
-    grads = backward(params, hyper, cache, d_emb)
+    grads = backward(params, hyper, cache, d_emb, buffers)
     for arr in grads.arrays():
         arr /= len(first)
         if not np.isfinite(arr).all():
             raise NonFiniteLoss(f"non-finite gradient in epoch {epoch} batch {batch_no}")
     optimizer.step(params, grads)
-    return loss, int(np.count_nonzero(similar == (score > config.delta)))
+    return loss, _count_correct(score, labels, config.delta)
 
 
 def write_trace(path, trace: list[EpochStats]):

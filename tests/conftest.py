@@ -22,6 +22,13 @@ endmodule
 """
 
 
+def flat_xor(terms: int) -> str:
+    """One continuous assignment XORing ``terms`` input bits: a single
+    expression nested ``terms - 1`` operators deep."""
+    chain = " ^ ".join(f"a[{i}]" for i in range(terms))
+    return f"module flatxor(input [{terms - 1}:0] a, output y);\n  assign y = {chain};\nendmodule\n"
+
+
 @pytest.fixture
 def full_adder_graph():
     from ipsim.pipeline import compile_text

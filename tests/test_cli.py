@@ -1,9 +1,10 @@
 import json
+import re
 import shutil
 
 import pytest
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, flat_xor
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from ipsim.model import zeros_like_params
 from ipsim.train import load_checkpoint, save_checkpoint
@@ -208,6 +209,16 @@ def test_compare_batch_and_jsonl(corpus, checkpoint, tmp_path, capsys):
         record = json.loads(line)
         assert set(record) >= {"a", "b", "score", "delta", "label"}
     assert len(jsonl.read_text().strip().splitlines()) == 2
+
+
+def test_compare_too_deep_design_is_an_input_error(checkpoint, tmp_path, capsys):
+    deep = tmp_path / "deep.v"
+    deep.write_text(flat_xor(1200))
+    code = main(["compare", str(deep), str(deep), "--checkpoint", str(checkpoint)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert re.search(rf"error: {re.escape(str(deep))}: \w+: design nests too deep", err)
 
 
 def test_compare_rejects_missing_inputs(checkpoint, capsys):

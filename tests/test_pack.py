@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from conftest import graph_from_edges, random_graph_edges
 from ipsim.detect import cosine_similarity
 from ipsim.encode import encode, pack, take
-from ipsim.errors import NonFiniteLoss
+from ipsim.errors import NonFiniteLoss, ShapeMismatch
 from ipsim.model import (
+    Buffers,
     Hyper,
     add_scaled,
     backward,
@@ -91,6 +92,47 @@ def test_ties_across_segments_and_all_zero_readout_columns(readout):
                                   np.tile(cache.pool.selected[:3], (3, 1)))
     assert_packing_invisible(same, hyper, params)
     assert_packing_invisible([chain("d", 4), *random_tensors(7, 3)], hyper, params)
+
+
+def forward_backward(params, gt, hyper: Hyper, seed: int, buffers=None):
+    """The cache of one dropout-mask draw and forward pass, and the
+    masks, pre-activations, hidden states, embedding and gradients of
+    that pass and the backward pass after it."""
+    masks = []
+    if hyper.dropout:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        masks = make_dropout_masks(hyper, gt.num_nodes, rng, buffers)
+    cache = forward(params, gt, hyper, masks=masks or None, buffers=buffers)
+    d_emb = np.random.default_rng(seed).standard_normal(cache.embedding.shape)
+    grads = backward(params, hyper, cache, d_emb, buffers)
+    return cache, [*masks, *cache.pre_act, *cache.hidden, cache.embedding, *grads.arrays()]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("readout", ["max", "mean", "sum"])
+def test_reused_buffers_give_what_allocating_calls_give(readout, dropout):
+    # One set of buffers serves a pack, then a smaller pack over rows the
+    # first one left behind, then one unpacked (dense) graph.
+    hyper = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout=readout, dropout=dropout)
+    params = init_params(hyper, 5)
+    gts = [*random_tensors(11, 6), chain("big", 530)]
+    graphs = [pack(gts), pack(gts[1:4]), gts[0]]
+    assert graphs[1].num_nodes < graphs[0].num_nodes and not graphs[2].is_sparse
+    buffers = Buffers.alloc(hyper, graphs[0].num_nodes)
+    for seed, gt in enumerate(graphs):
+        cache, got = forward_backward(params, gt, hyper, seed, buffers)
+        assert np.shares_memory(cache.hidden[-1], buffers.hidden[-1])
+        _, want = forward_backward(params, gt, hyper, seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_buffers_refuse_a_pack_larger_than_they_are():
+    hyper = Hyper(hidden_dim=8, num_layers=2, dropout=0.0)
+    gt = pack(random_tensors(12, 3))
+    with pytest.raises(ShapeMismatch):
+        forward(init_params(hyper, 0), gt, hyper, buffers=Buffers.alloc(hyper, gt.num_nodes - 1))
 
 
 def test_top_k_per_segment_matches_reference():

@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, flat_xor
 from ipsim.errors import (
+    DesignTooDeep,
     ElaborationError,
     MultipleContinuousDrivers,
     PipelineError,
@@ -48,6 +49,15 @@ endmodule
         compile_text(text, path="dup.v")
     assert info.value.stage == "dfg"
     assert isinstance(info.value.cause, MultipleContinuousDrivers)
+
+
+def test_recursion_limit_is_a_typed_error_naming_the_design():
+    assert compile_text(flat_xor(300), path="shallow.v").num_nodes > 0
+    with pytest.raises(PipelineError) as info:
+        compile_text(flat_xor(1200), path="deep.v")
+    assert info.value.design == "deep.v"
+    assert isinstance(info.value.cause, DesignTooDeep)
+    assert isinstance(info.value.__cause__, RecursionError)
 
 
 def test_compile_design_reads_files(tmp_path):

@@ -14,7 +14,7 @@ from ipsim.errors import (
     NonFiniteLoss,
     VocabularyMismatch,
 )
-from ipsim.model import Hyper, init_params
+from ipsim.model import Buffers, Hyper, init_params
 from ipsim.train import (
     MAGIC,
     TrainConfig,
@@ -67,7 +67,18 @@ def test_hinge_flat_below_margin():
         assert cosine_embedding_loss(score, -1, margin=0.5) == 0.0
 
 
-def test_training_is_deterministic():
+def fresh_nan_rows(self, count: int) -> Buffers:
+    """Stands in for ``Buffers.rows``: new arrays full of NaN (True for
+    masks) on every call, so nothing an earlier call wrote can be read."""
+    def fresh(a):
+        return np.full((count, *a.shape[1:]), np.nan).astype(a.dtype)
+
+    return Buffers(fresh(self.features), [fresh(z) for z in self.pre_act],
+                   [fresh(h) for h in self.hidden], [fresh(m) for m in self.masks],
+                   fresh(self.scratch), fresh(self.grad))
+
+
+def test_training_is_deterministic(monkeypatch):
     gts, pairs = toy_setup()
     config = TrainConfig(lr=0.01, batch_size=4, epochs=5, seed=11, patience=None)
     runs = []
@@ -76,6 +87,19 @@ def test_training_is_deterministic():
         runs.append(save_checkpoint(None, result.params, HYPER,
                                     meta={"epoch": result.best_epoch}))
     assert runs[0] == runs[1]
+
+    # Batches of 4, 4 and 1 pairs over graphs of 5 to 11 nodes differ in
+    # row count, and the last is short. ``train`` reuses one set of
+    # buffers for them all; a stale row read from a reused buffer would
+    # set it apart from a run that gets new NaN-filled arrays each call.
+    gts, pairs = toy_setup(num_graphs=9, seed=3)
+    config = TrainConfig(lr=0.05, batch_size=4, epochs=4, seed=5, patience=None)
+    runs = [train(gts, pairs, pairs[:4], HYPER, config) for _ in range(2)]
+    monkeypatch.setattr(Buffers, "rows", fresh_nan_rows)
+    runs.append(train(gts, pairs, pairs[:4], HYPER, config))
+    blobs = {save_checkpoint(None, r.params, HYPER) for r in runs}
+    traces = {tuple(map(str, r.trace)) for r in runs}
+    assert len(blobs) == 1 and len(traces) == 1
 
 
 def test_different_seed_changes_checkpoint():
