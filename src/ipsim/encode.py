@@ -2,9 +2,9 @@
 
 Features are one-hot node kinds over the fixed vocabulary, stored as
 booleans: a pack holds the features of dozens of designs at once, and
-the model's float64 products read them exactly. Training casts each
-batch's features to float64 once, into a buffer that the forward and
-backward passes share (``ipsim.model.Buffers``).
+the model's float64 products read them exactly. Each model pass casts
+its features to float64 once, into the buffers that its forward and
+backward steps share (``ipsim.model.Buffers``).
 The message passing operator is the symmetric degree-normalized
 adjacency with self loops, in float64; graphs past the sparse threshold
 switch to CSR so netlist-sized designs stay cheap. ``pack`` lays a list

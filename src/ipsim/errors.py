@@ -114,8 +114,8 @@ class ZeroEmbedding(IpsimError):
     exists; the model is untrained or degenerate."""
 
 
-class ShapeMismatch(IpsimError):
-    pass
+class ShapeMismatch(IpsimError, ValueError):
+    """Arrays whose shapes do not fit together."""
 
 
 class TrainingError(IpsimError):

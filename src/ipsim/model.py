@@ -11,12 +11,18 @@ a block-diagonal propagation matrix keeps the graphs apart in the
 convolutions, and the segment offsets keep them apart in pooling and
 readout. A single graph is a batch of one whose embedding is a vector;
 a pack gives one embedding row per graph.
+
+Every pass writes into ``Buffers``: the caller's, which a training loop
+reuses from batch to batch, or new ones sized to the graph. The cache
+keeps the rows its pass wrote, for ``backward`` to write there too. The
+parameters, and a gradient, are one float64 vector with a view per matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,21 +58,31 @@ class Hyper:
             raise ConfigError("hidden_dim must be at least 1")
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        dims = []
-        fan_in = self.feat_dim
-        for _ in range(self.num_layers):
-            dims.append((fan_in, self.hidden_dim))
-            fan_in = self.hidden_dim
-        return dims
+        fan_in = [self.feat_dim] + [self.hidden_dim] * (self.num_layers - 1)
+        return [(d_in, self.hidden_dim) for d_in in fan_in]
+
+    def param_shapes(self) -> list[tuple[int, int]]:
+        """Shapes of W0..Wn and the attention scorer, in checkpoint order."""
+        return [*self.layer_dims(), (self.hidden_dim, 1)]
 
 
-@dataclass
 class ModelParams:
-    weights: list[np.ndarray]       # one (d_in, d_out) per conv layer
-    score: np.ndarray               # (hidden, 1) attention scorer
+    """Every parameter in one float64 vector, ``flat``, in checkpoint
+    order: ``weights`` (one (d_in, d_out) per conv layer), then ``score``
+    (the (hidden, 1) attention scorer), each a view of ``flat`` with its
+    entry of ``shapes``. A gradient has the same layout, so an optimizer
+    step is one set of vector operations."""
+
+    def __init__(self, flat: np.ndarray, shapes: list[tuple[int, ...]]):
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        if flat.shape != (ends[-1],):
+            raise ShapeMismatch(f"{flat.shape} parameters do not fill shapes {shapes}")
+        self.flat, self.shapes = flat, shapes
+        *self.weights, self.score = [flat[end - math.prod(shape):end].reshape(shape)
+                                     for shape, end in zip(shapes, ends)]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], self.score.copy())
+        return ModelParams(self.flat.copy(), self.shapes)
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, self.score]
@@ -80,28 +96,16 @@ def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    weights = [glorot(din, dout) for din, dout in hyper.layer_dims()]
-    return ModelParams(weights, glorot(hyper.hidden_dim, 1))
+    shapes = hyper.param_shapes()
+    return ModelParams(np.concatenate([glorot(*shape).ravel() for shape in shapes]), shapes)
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams([np.zeros_like(w) for w in params.weights], np.zeros_like(params.score))
-
-
-def add_scaled(dst: ModelParams, src: ModelParams, scale: float = 1.0):
-    for dw, sw in zip(dst.weights, src.weights):
-        dw += scale * sw
-    dst.score += scale * src.score
-
-
-def _propagate(p, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _propagate(p, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """P X for a dense or CSR propagation matrix, written into ``out``
-    (C-contiguous float64) when one is given. scipy's product takes no
+    (C-contiguous float64, shaped as X). scipy's product takes no
     ``out``: it zeroes a new array and has ``csr_matvecs`` add P X into
     it. Here that array is ``out``, so the values are those of ``p @ x``
     bit for bit."""
-    if out is None:
-        return np.asarray(p @ x)
     if not sp.issparse(p):
         return np.matmul(p, x, out=out)
     out.fill(0.0)
@@ -110,14 +114,15 @@ def _propagate(p, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def gcn_layer(p, x: np.ndarray, w: np.ndarray, activate: bool = True,
-              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """One propagation step: relu(P X W), relu optional. The result goes
-    to ``out`` and X W to ``scratch`` when they are given."""
+def gcn_layer(p, x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """One propagation step, relu(P X W). The result goes to ``out`` and
+    X W to ``scratch`` when they are given."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"features {x.shape} incompatible with weight {w.shape}")
-    z = _propagate(p, np.matmul(x, w, out=scratch), out)
-    return np.maximum(z, 0.0, out=out) if activate else z
+    xw = np.matmul(x, w, out=scratch)
+    out = np.empty_like(xw) if out is None else out
+    return np.maximum(_propagate(p, xw, out), 0.0, out=out)
 
 
 @dataclass
@@ -156,7 +161,8 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
 
 def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float,
              offsets: np.ndarray | None = None) -> PoolResult:
-    alpha = _propagate(p, x @ score).ravel()
+    xs = x @ score
+    alpha = _propagate(p, xs, np.empty_like(xs)).ravel()
     sel = top_k_indices(alpha, ratio, offsets)
     gate = np.tanh(alpha[sel])
     kept = None if offsets is None else np.searchsorted(sel, offsets)
@@ -183,17 +189,16 @@ def readout(x: np.ndarray, mode: str = "max", offsets: np.ndarray | None = None)
 @dataclass
 class Buffers:
     """Arrays that ``make_dropout_masks``, ``forward`` and ``backward``
-    write into through ``out=`` instead of allocating, so that a loop of
-    batches reuses the same memory. ``alloc(hyper, size)`` makes them for
-    packs of up to ``size`` rows; a call writes views of the leading rows
-    it needs (``rows``).
+    write into through ``out=``, so that a loop of batches reuses the
+    same memory. ``alloc(hyper, size)`` makes them for packs of up to
+    ``size`` rows; a pass writes views of the leading rows it needs
+    (``rows``). A call given none allocates its own, sized to its graph.
     Scratch that is dead before a later step writes it shares one
     array: the dropout draws, X W and P d_h all go to ``scratch``. A
-    cache made with buffers holds views of them, so it is valid until
-    the next call that writes them."""
+    cache holds views of the rows its pass wrote, so it is valid until
+    the next pass that writes them."""
 
     features: np.ndarray         # one-hot features, cast to float64
-    pre_act: list[np.ndarray]    # z_l per layer
     hidden: list[np.ndarray]     # h_{l+1} per layer
     masks: list[np.ndarray]      # bool keep mask per layer
     scratch: np.ndarray
@@ -201,74 +206,66 @@ class Buffers:
 
     @classmethod
     def alloc(cls, hyper: Hyper, size: int) -> "Buffers":
-        def per_layer(dtype=np.float64) -> list[np.ndarray]:
-            return [np.empty((size, dout), dtype) for _, dout in hyper.layer_dims()]
-
-        return cls(np.empty((size, hyper.feat_dim)), per_layer(), per_layer(), per_layer(bool),
-                   np.empty((size, hyper.hidden_dim)), np.empty((size, hyper.hidden_dim)))
+        width, layers = hyper.hidden_dim, range(hyper.num_layers)  # every layer is width wide
+        return cls(np.empty((size, hyper.feat_dim)), [np.empty((size, width)) for _ in layers],
+                   [np.empty((size, width), bool) for _ in layers], np.empty((size, width)),
+                   np.empty((size, width)))
 
     def rows(self, count: int) -> "Buffers":
         """Views of the first ``count`` rows of every buffer."""
         if count > len(self.features):
             raise ShapeMismatch(f"{count} rows do not fit in buffers of {len(self.features)}")
-        return Buffers(self.features[:count], [z[:count] for z in self.pre_act],
-                       [h[:count] for h in self.hidden], [m[:count] for m in self.masks],
-                       self.scratch[:count], self.grad[:count])
+        return Buffers(self.features[:count], [h[:count] for h in self.hidden],
+                       [m[:count] for m in self.masks], self.scratch[:count],
+                       self.grad[:count])
 
 
 @dataclass
 class ForwardCache:
-    """Everything the reverse pass needs, captured during forward."""
+    """Everything the reverse pass needs, captured during forward: the
+    buffer rows the pass wrote, which ``backward`` writes into too."""
 
     tensors: GraphTensors
-    hidden: list[np.ndarray] = field(default_factory=list)   # h_0 .. h_L (post activation+dropout)
-    pre_act: list[np.ndarray] = field(default_factory=list)  # z_l per layer
-    masks: list[np.ndarray] | None = None
-    pool: PoolResult | None = None
-    embedding: np.ndarray | None = None
+    rows: Buffers
+    hidden: list[np.ndarray]             # h_0 .. h_L (post activation+dropout), views of rows
+    masks: list[np.ndarray] | None
+    pool: PoolResult
+    embedding: np.ndarray
 
 
 def make_dropout_masks(hyper: Hyper, num_nodes: int, rng: np.random.Generator,
                        buffers: Buffers | None = None) -> list[np.ndarray]:
-    """One boolean keep mask per conv layer, drawn in layer order; into
-    ``buffers`` when they are given."""
-    out = buffers and buffers.rows(num_nodes)
-    return [np.greater_equal(rng.random((num_nodes, dout), out=out and out.scratch),
-                             hyper.dropout, out=out and out.masks[l])
-            for l, (_, dout) in enumerate(hyper.layer_dims())]
+    """One boolean keep mask per conv layer, drawn in layer order, into
+    ``buffers`` (or new ones)."""
+    rows = buffers.rows(num_nodes) if buffers else Buffers.alloc(hyper, num_nodes)
+    return [np.greater_equal(rng.random(mask.shape, out=rows.scratch), hyper.dropout, out=mask)
+            for mask in rows.masks]
 
 
 def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
             masks: list[np.ndarray] | None = None,
             buffers: Buffers | None = None) -> ForwardCache:
     """Embed one graph or each graph of a pack. Passing masks (rows as
-    in ``gt``) enables (inverted) dropout. With ``buffers``, the layers
-    write into them, and the features are cast to float64 there once,
-    for this pass and for ``backward``."""
+    in ``gt``) enables (inverted) dropout. The layers write into
+    ``buffers`` (or new ones), where the features are cast to float64
+    once, for this pass and for ``backward``."""
     if gt.x.shape[1] != hyper.feat_dim:
         raise ShapeMismatch(f"expected {hyper.feat_dim} features, got {gt.x.shape[1]}")
     if len(params.weights) != hyper.num_layers:
         raise ShapeMismatch(f"expected {hyper.num_layers} layers, got {len(params.weights)}")
-    out = buffers and buffers.rows(gt.num_nodes)
-    cache = ForwardCache(tensors=gt, masks=masks)
+    rows = buffers.rows(gt.num_nodes) if buffers else Buffers.alloc(hyper, gt.num_nodes)
     keep = 1.0 - hyper.dropout
-    h = gt.x
-    if out:
-        np.copyto(out.features, h)
-        h = out.features
-    cache.hidden.append(h)
+    np.copyto(rows.features, gt.x)
+    hidden = [rows.features]
     for l, w in enumerate(params.weights):
-        z = gcn_layer(gt.p, h, w, activate=False, out=out and out.pre_act[l],
-                      scratch=out and out.scratch)
-        h = np.maximum(z, 0.0, out=out and out.hidden[l])
+        h = gcn_layer(gt.p, hidden[-1], w, out=rows.hidden[l], scratch=rows.scratch)
         if masks is not None and hyper.dropout > 0.0:
             h *= masks[l]
             h /= keep
-        cache.pre_act.append(z)
-        cache.hidden.append(h)
-    cache.pool = sag_pool(gt.p, h, params.score, hyper.pool_ratio, gt.offsets)
-    cache.embedding = readout(cache.pool.x, hyper.readout, cache.pool.offsets)
-    return cache
+        hidden.append(h)
+    pool = sag_pool(gt.p, hidden[-1], params.score, hyper.pool_ratio, gt.offsets)
+    return ForwardCache(gt, rows, hidden, masks, pool,
+                        readout(pool.x, hyper.readout, pool.offsets))
 
 
 def embed(params: ModelParams, gt: GraphTensors, hyper: Hyper) -> np.ndarray:
@@ -277,19 +274,18 @@ def embed(params: ModelParams, gt: GraphTensors, hyper: Hyper) -> np.ndarray:
 
 
 def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
-             d_embedding: np.ndarray, buffers: Buffers | None = None) -> ModelParams:
+             d_embedding: np.ndarray) -> ModelParams:
     """Exact gradient of the embedding against every parameter; for a
     pack, the sum over its graphs of each graph's gradient, with one
-    ``d_embedding`` row per graph.
+    ``d_embedding`` row per graph. d_h and P d_h go to the buffer rows
+    the forward pass wrote.
 
     Top-k selection is piecewise constant, so its gradient contribution
     is zero; max readout sends gradient to the first maximal row of each
     segment and column, so ties, all-zero columns included, go to the
-    lower row. With ``buffers`` (those ``forward`` wrote the cache
-    into), d_h and P d_h go there.
+    lower row.
     """
-    gt = cache.tensors
-    out = buffers and buffers.rows(gt.num_nodes)
+    gt, rows = cache.tensors, cache.rows
     pool = cache.pool
     sel = pool.selected
     k, dim = pool.x.shape
@@ -310,15 +306,16 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
         d_xpool = d_out[segment]
 
     d_gate = (d_xpool * cache.hidden[-1][sel]).sum(axis=1)
-    d_alpha = np.zeros(gt.num_nodes)
-    d_alpha[sel] = d_gate * (1.0 - pool.gate ** 2)
+    d_alpha = np.zeros((gt.num_nodes, 1))
+    d_alpha[sel, 0] = d_gate * (1.0 - pool.gate ** 2)
 
     # P is symmetric, so P^T d = P d, and (P h)^T d = h^T (P d): each
-    # step propagates its output gradient once.
-    grads = zeros_like_params(params)
-    d_prop = _propagate(gt.p, d_alpha)[:, None]
-    grads.score[:] = cache.hidden[-1].T @ d_prop
-    d_h = np.multiply(d_prop, params.score.ravel(), out=out and out.grad)
+    # step propagates its output gradient once. Every gradient entry is
+    # written below.
+    grads = ModelParams(np.empty_like(params.flat), params.shapes)
+    d_prop = _propagate(gt.p, d_alpha, np.empty_like(d_alpha))
+    np.matmul(cache.hidden[-1].T, d_prop, out=grads.score)
+    d_h = np.multiply(d_prop, params.score.ravel(), out=rows.grad)
     d_xpool *= pool.gate[:, None]
     d_h[sel] += d_xpool
 
@@ -327,9 +324,11 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
         if cache.masks is not None and hyper.dropout > 0.0:
             d_h *= cache.masks[l]
             d_h /= keep
-        d_h *= cache.pre_act[l] > 0.0
-        d_prop = _propagate(gt.p, d_h, out and out.scratch)
-        grads.weights[l][:] = cache.hidden[l].T @ d_prop
+        # h_{l+1} > 0 where the relu is active and the unit was kept;
+        # dropped units are zero in d_h already, so this is the relu gate.
+        d_h *= cache.hidden[l + 1] > 0.0
+        d_prop = _propagate(gt.p, d_h, rows.scratch)
+        np.matmul(cache.hidden[l].T, d_prop, out=grads.weights[l])
         if l:  # the features need no gradient
-            d_h = np.matmul(d_prop, params.weights[l].T, out=out and out.grad)
+            d_h = np.matmul(d_prop, params.weights[l].T, out=rows.grad)
     return grads

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ipsim.errors import ShapeMismatch
+
 
 @dataclass
 class Projection:
@@ -22,7 +24,7 @@ def pca_project(embeddings: np.ndarray, k: int = 2) -> Projection:
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a (m, d) matrix with m >= 2")
+        raise ShapeMismatch(f"a projection needs two or more embeddings, got shape {x.shape}")
     k = min(k, x.shape[1])
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)

@@ -3,16 +3,19 @@
 Pairs carry labels +1 (same source design) or -1 (unrelated). The loss
 is the cosine embedding hinge: positive pairs pay 1 - score, negative
 pairs pay max(0, score - margin). ``train`` packs the designs of the
-training pairs once (``PackedPairs``, built on ``ipsim.encode.pack``);
+training pairs once (``PackedPairs``, built on ``ipsim.encode.pack``).
+Each epoch visits the pairs in a permutation seeded with (seed, epoch);
 each mini-batch gathers the designs its pairs name from that pack, in
 sorted-name order, and embeds them all in one packed forward pass, so
 each design is embedded once per batch. The batch's dropout masks come
 from one generator per batch, seeded with (seed, epoch, batch number)
 and drawn in packed row order. The pair losses and their gradients are
 computed for the whole batch at once, and one packed backward pass
-returns the batch gradient. One ``model.Buffers`` serves every batch
-and every evaluation of a ``train`` call, so they write into the same
-arrays instead of allocating their own. ``PackedPairs`` likewise embeds
+returns the batch gradient, a flat vector like the parameters
+(``model.ModelParams``), so that the optimizer updates all parameters
+with one set of vector operations. One ``model.Buffers`` serves every
+batch and every evaluation of a ``train`` call, so they write into the
+same arrays instead of allocating their own. ``PackedPairs`` likewise embeds
 every design a list of pairs names in one pass; ``evaluate`` (the
 training-time monitor, whose test designs ``train`` packs once) and
 ``score_pairs`` (the scorer behind every report) score its rows.
@@ -23,6 +26,7 @@ checkpoint bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -31,17 +35,8 @@ import numpy as np
 from ipsim.detect import check_delta, cosine_similarity
 from ipsim.encode import VOCAB_VERSION, GraphTensors, pack, take
 from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
-from ipsim.model import (
-    Buffers,
-    Hyper,
-    ModelParams,
-    add_scaled,
-    backward,
-    forward,
-    init_params,
-    make_dropout_masks,
-    zeros_like_params,
-)
+from ipsim.model import (Buffers, Hyper, ModelParams, backward, forward, init_params,
+                         make_dropout_masks)
 
 Pair = tuple[str, str, int]
 
@@ -90,11 +85,12 @@ class TrainConfig:
     delta: float = 0.5
     seed: int = 0
     patience: int | None = 10
-    shuffle: bool = True
     optimizer: str = "sgd"          # sgd | momentum | adam
 
     def __post_init__(self):
         check_delta(self.delta)
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be a finite number of at least 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -118,32 +114,32 @@ class TrainResult:
 
 
 class _Optimizer:
+    """Steps the flat parameter vector in place; its state (velocity, or
+    Adam's moments) is flat vectors too."""
+
     def __init__(self, config: TrainConfig, params: ModelParams):
         self.config = config
         self.step_count = 0
         if config.optimizer == "momentum":
-            self.velocity = zeros_like_params(params)
+            self.velocity = np.zeros_like(params.flat)
         elif config.optimizer == "adam":
-            self.first = zeros_like_params(params)
-            self.second = zeros_like_params(params)
+            self.first = np.zeros_like(params.flat)
+            self.second = np.zeros_like(params.flat)
         elif config.optimizer != "sgd":
             raise ValueError(f"unknown optimizer {config.optimizer!r}")
 
     def step(self, params: ModelParams, grads: ModelParams):
         cfg = self.config
+        w, g = params.flat, grads.flat
         self.step_count += 1
         if cfg.optimizer == "sgd":
-            add_scaled(params, grads, -cfg.lr)
-            return
-        if cfg.optimizer == "momentum":
-            for vel, g, w in zip(self.velocity.arrays(), grads.arrays(), params.arrays()):
-                vel *= MOMENTUM
-                vel += g
-                w -= cfg.lr * vel
-            return
-        t = self.step_count
-        for m, v, g, w in zip(self.first.arrays(), self.second.arrays(),
-                              grads.arrays(), params.arrays()):
+            w += -cfg.lr * g
+        elif cfg.optimizer == "momentum":
+            self.velocity *= MOMENTUM
+            self.velocity += g
+            w -= cfg.lr * self.velocity
+        else:
+            t, m, v = self.step_count, self.first, self.second
             m *= ADAM_BETA1
             m += (1 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -245,12 +241,10 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
     stopped_early = False
 
     for epoch in range(1, config.epochs + 1):
-        order = np.arange(len(train_pairs))
-        if config.shuffle:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, epoch])))
-            order = rng.permutation(order)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, epoch])))
+        order = rng.permutation(len(train_pairs))
         # Summed once per epoch in pair order, so the epoch loss does not
-        # depend on the order the shuffled batches visit the pairs in.
+        # depend on the order the permuted batches visit the pairs in.
         losses = np.empty(len(train_pairs))
         correct = 0
         for batch_idx in range(0, len(order), config.batch_size):
@@ -327,11 +321,10 @@ def _train_batch(params: ModelParams, optimizer: _Optimizer, train_set: PackedPa
     np.add.at(d_emb, row_a, upstream * d_a)
     np.add.at(d_emb, row_b, upstream * d_b)
 
-    grads = backward(params, hyper, cache, d_emb, buffers)
-    for arr in grads.arrays():
-        arr /= len(first)
-        if not np.isfinite(arr).all():
-            raise NonFiniteLoss(f"non-finite gradient in epoch {epoch} batch {batch_no}")
+    grads = backward(params, hyper, cache, d_emb)
+    grads.flat /= len(first)
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteLoss(f"non-finite gradient in epoch {epoch} batch {batch_no}")
     optimizer.step(params, grads)
     return loss, _count_correct(score, labels, config.delta)
 
@@ -412,11 +405,13 @@ def load_checkpoint(path=None, data: bytes | None = None) -> tuple[ModelParams, 
     for i in array_ids:
         (ndim,) = struct.unpack("<I", take(4, f"array {i} rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {i} shape"))
-        count = int(np.prod(shape)) if shape else 1
-        raw = take(8 * count, f"array {i} data")
-        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+        raw = take(8 * math.prod(shape), f"array {i} data")
+        arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape))
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after checkpoint payload")
-    if len(arrays) != hyper.num_layers + 1:
-        raise CheckpointError("array count does not match architecture")
-    return ModelParams(arrays[:-1], arrays[-1]), hyper, header.get("meta", {})
+    shapes = hyper.param_shapes()
+    if [a.shape for a in arrays] != shapes:
+        raise CheckpointError(f"corrupt checkpoint header: hyper needs arrays of shapes {shapes}, "
+                              f"the payload has {[a.shape for a in arrays]}")
+    flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+    return ModelParams(flat, shapes), hyper, header.get("meta", {})

@@ -34,6 +34,13 @@ def mask_plan(config: TrainConfig, hyper: Hyper, gts: dict, names,
     return {name: [part[i] for part in parts] for i, name in enumerate(names)}
 
 
+def pair_order(config: TrainConfig, count: int, epoch: int = 1) -> np.ndarray:
+    """The order in which the trainer visits ``count`` pairs in an
+    epoch: a permutation seeded with (seed, epoch)."""
+    seq = np.random.SeedSequence([config.seed, epoch])
+    return np.random.Generator(np.random.PCG64(seq)).permutation(count)
+
+
 def batch_names(batch) -> list[str]:
     return sorted({name for a, b, _ in batch for name in (a, b)})
 
@@ -54,12 +61,16 @@ def batch_loss(params: ModelParams, gts: dict, batch, hyper: Hyper,
 
 def analytic_grads(params: ModelParams, gts: dict, batch, hyper: Hyper,
                    config: TrainConfig) -> list[np.ndarray]:
-    """Mean-loss gradient per parameter matrix, via a unit-lr SGD probe."""
+    """Mean-loss gradient per parameter matrix, via a unit-lr SGD probe
+    whose pairs are laid out so that the trainer visits them in batch
+    order."""
     probe = TrainConfig(lr=1.0, batch_size=len(batch), epochs=1,
                         margin=config.margin, delta=config.delta,
-                        seed=config.seed, patience=None, shuffle=False,
-                        optimizer="sgd")
-    result = train(gts, list(batch), None, hyper, probe, init=params)
+                        seed=config.seed, patience=None, optimizer="sgd")
+    laid_out = list(batch)
+    for position, index in enumerate(pair_order(probe, len(batch))):
+        laid_out[index] = batch[position]
+    result = train(gts, laid_out, None, hyper, probe, init=params)
     return [before - after
             for before, after in zip(params.arrays(), result.params.arrays())]
 
@@ -106,9 +117,10 @@ def differentiable_batch(params: ModelParams, gts: dict, batch,
     masks = mask_plan(config, hyper, gts, batch_names(batch))
     embs = {}
     for name in batch_names(batch):
-        cache = forward(params, gts[name], hyper, masks=masks[name])
-        for z in cache.pre_act:
-            if np.abs(z).min() < KINK_TOL:
+        gt = gts[name]
+        cache = forward(params, gt, hyper, masks=masks[name])
+        for h, w in zip(cache.hidden, params.weights):
+            if np.abs(gt.p @ (h @ w)).min() < KINK_TOL:  # layer input to pre-activation
                 return False
         pool = cache.pool
         ranked = np.sort(pool.alpha)[::-1]

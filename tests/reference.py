@@ -47,12 +47,10 @@ def matmul_reference(a: list[list[float]], b: list[list[float]]) -> list[list[fl
 
 
 def gcn_layer_reference(edges: list[tuple[int, int]], x: list[list[float]],
-                        w: list[list[float]], activate: bool = True) -> list[list[float]]:
+                        w: list[list[float]]) -> list[list[float]]:
     """relu(P X W) with loop-built P and loop matmuls."""
     p = normalized_propagation_reference(edges, len(x))
     z = matmul_reference(matmul_reference(p, x), w)
-    if not activate:
-        return z
     return [[max(v, 0.0) for v in row] for row in z]
 
 
@@ -67,6 +65,34 @@ def loss_reference(score: float, label: int, margin: float = 0.5) -> float:
     if label == 1:
         return 1.0 - score
     return max(0.0, score - margin)
+
+
+def optimizer_reference(kind: str, lr: float, arrays: list[np.ndarray],
+                        grads: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """The parameter arrays after one sgd, momentum (0.9) or Adam (0.9,
+    0.999, 1e-8) step per list of gradient arrays, updated array by
+    array with the same elementwise expressions as the library's one
+    flat update, so the two agree bit for bit."""
+    arrays = [a.copy() for a in arrays]
+    first = [np.zeros_like(a) for a in arrays]
+    second = [np.zeros_like(a) for a in arrays]
+    for t, step in enumerate(grads, start=1):
+        for w, g, m, v in zip(arrays, step, first, second):
+            if kind == "sgd":
+                w += -lr * g
+            elif kind == "momentum":
+                m *= 0.9
+                m += g
+                w -= lr * m
+            else:
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                m_hat = m / (1 - 0.9 ** t)
+                v_hat = v / (1 - 0.999 ** t)
+                w -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return arrays
 
 
 def top_k_reference(alpha: list[float], ratio: float) -> list[int]:

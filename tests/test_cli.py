@@ -2,11 +2,12 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from conftest import FULL_ADDER, flat_xor
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
-from ipsim.model import zeros_like_params
+from ipsim.model import ModelParams
 from ipsim.train import load_checkpoint, save_checkpoint
 from test_train import MALFORMED_HEADERS, doctor_header
 
@@ -302,6 +303,7 @@ def test_manifest_refs_resolve_against_manifest_dir(corpus, checkpoint, tmp_path
     ("--batch-size", "0", "batch size"),
     ("--hidden", "0", "hidden_dim"),
     ("--delta", "2", "delta"),
+    ("--lr", "nan", "lr"),
 ])
 def test_train_bad_settings_are_input_errors(corpus, tmp_path, capsys, flag, value, message):
     code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt"),
@@ -355,6 +357,17 @@ def test_project_csv(corpus, checkpoint, tmp_path, capsys):
     assert len(lines) == 13  # 12 designs + header
 
 
+def test_project_needs_two_designs(corpus, checkpoint, tmp_path, capsys):
+    manifest = tmp_path / "one.csv"
+    manifest.write_text(f"family_id,path,abstraction\nandor,{corpus / 'andor' / 'andor0.v'},rtl\n")
+    code = main(["project", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: a projection needs two or more embeddings, got shape (1, 8)" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "ipsim" in capsys.readouterr().out
@@ -390,7 +403,7 @@ def test_zero_embeddings_are_input_errors_naming_the_design(corpus, checkpoint, 
                                                             capsys):
     params, hyper, _ = load_checkpoint(checkpoint)
     dead = tmp_path / "dead.ckpt"
-    save_checkpoint(dead, zeros_like_params(params), hyper)
+    save_checkpoint(dead, ModelParams(np.zeros_like(params.flat), params.shapes), hyper)
     a, b = str(corpus / "andor" / "andor0.v"), str(corpus / "muxes" / "muxes0.v")
     manifest = tmp_path / "pairs.csv"
     manifest.write_text(f"a_path,b_path,label\n{a},{b},-1\n")

@@ -11,7 +11,6 @@ from ipsim.encode import FEATURE_DIM, encode
 from ipsim.errors import ShapeMismatch
 from ipsim.model import (
     Hyper,
-    add_scaled,
     embed,
     forward,
     gcn_layer,
@@ -20,7 +19,6 @@ from ipsim.model import (
     readout,
     sag_pool,
     top_k_indices,
-    zeros_like_params,
 )
 from reference import (
     gcn_layer_reference,
@@ -43,16 +41,6 @@ def test_gcn_layer_matches_dense_reference(seed, size, dout):
     got = gcn_layer(gt.p, x, w)
     ref = np.array(gcn_layer_reference(edges, x.tolist(), w.tolist()))
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_gcn_layer_no_activation_keeps_negatives():
-    g = graph_from_edges("p2", [(0, 1)], 2)
-    gt = encode(g)
-    x = np.array([[1.0], [-4.0]])
-    w = np.array([[1.0]])
-    z = gcn_layer(gt.p, x, w, activate=False)
-    assert (z < 0).any()
-    np.testing.assert_array_equal(gcn_layer(gt.p, x, w), np.maximum(z, 0.0))
 
 
 def test_gcn_layer_shape_mismatch():
@@ -211,11 +199,3 @@ def test_forward_is_built_from_the_layer_functions(full_adder_graph, monkeypatch
     forward(init_params(hyper, seed=1), encode(full_adder_graph), hyper)
     assert calls == {"gcn_layer": 3, "sag_pool": 1, "readout": 1}
 
-
-def test_zeros_like_and_add_scaled():
-    params = init_params(HYPER, seed=2)
-    acc = zeros_like_params(params)
-    add_scaled(acc, params, 2.0)
-    add_scaled(acc, params, -0.5)
-    for got, src in zip(acc.arrays(), params.arrays()):
-        np.testing.assert_allclose(got, 1.5 * src)

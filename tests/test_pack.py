@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gradcheck
 from conftest import graph_from_edges, random_graph_edges
 from ipsim.detect import cosine_similarity
 from ipsim.encode import encode, pack, take
@@ -12,14 +13,13 @@ from ipsim.errors import NonFiniteLoss, ShapeMismatch
 from ipsim.model import (
     Buffers,
     Hyper,
-    add_scaled,
+    ModelParams,
     backward,
     embed,
     forward,
     init_params,
     make_dropout_masks,
     top_k_indices,
-    zeros_like_params,
 )
 from ipsim.train import TrainConfig, _cosine_grads, evaluate, train
 from reference import cosine_reference, top_k_reference
@@ -51,13 +51,13 @@ def assert_packing_invisible(gts: list, hyper: Hyper, params, seed: int = 0):
     d_emb = rng.standard_normal(cache.embedding.shape)
     grads = backward(params, hyper, cache, d_emb)
 
-    total = zeros_like_params(params)
+    total = np.zeros_like(params.flat)
     for i, gt in enumerate(gts):
         rows = slice(packed.offsets[i], packed.offsets[i + 1])
         one = forward(params, gt, hyper, masks=masks and [m[rows] for m in masks])
         np.testing.assert_allclose(cache.embedding[i], one.embedding, rtol=0, atol=TOL)
-        add_scaled(total, backward(params, hyper, one, d_emb[i]))
-    for got, want in zip(grads.arrays(), total.arrays()):
+        total += backward(params, hyper, one, d_emb[i]).flat
+    for got, want in zip(grads.arrays(), ModelParams(total, params.shapes).arrays()):
         scale = max(float(np.abs(want).max()), 1e-300)
         assert float(np.abs(got - want).max()) <= TOL * scale
 
@@ -96,23 +96,24 @@ def test_ties_across_segments_and_all_zero_readout_columns(readout):
 
 def forward_backward(params, gt, hyper: Hyper, seed: int, buffers=None):
     """The cache of one dropout-mask draw and forward pass, and the
-    masks, pre-activations, hidden states, embedding and gradients of
-    that pass and the backward pass after it."""
+    masks, hidden states, embedding and gradients of that pass and the
+    backward pass after it."""
     masks = []
     if hyper.dropout:
         rng = np.random.Generator(np.random.PCG64(seed))
         masks = make_dropout_masks(hyper, gt.num_nodes, rng, buffers)
     cache = forward(params, gt, hyper, masks=masks or None, buffers=buffers)
     d_emb = np.random.default_rng(seed).standard_normal(cache.embedding.shape)
-    grads = backward(params, hyper, cache, d_emb, buffers)
-    return cache, [*masks, *cache.pre_act, *cache.hidden, cache.embedding, *grads.arrays()]
+    grads = backward(params, hyper, cache, d_emb)
+    return cache, [*masks, *cache.hidden, cache.embedding, *grads.arrays()]
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 @pytest.mark.parametrize("readout", ["max", "mean", "sum"])
 def test_reused_buffers_give_what_allocating_calls_give(readout, dropout):
     # One set of buffers serves a pack, then a smaller pack over rows the
-    # first one left behind, then one unpacked (dense) graph.
+    # first one left behind, then one unpacked (dense) graph; a call
+    # given no buffers allocates its own.
     hyper = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout=readout, dropout=dropout)
     params = init_params(hyper, 5)
     gts = [*random_tensors(11, 6), chain("big", 530)]
@@ -205,6 +206,8 @@ def test_non_finite_loss_names_epoch_batch_and_pair():
     train(gts, pairs, None, hyper, TrainConfig(epochs=1, batch_size=2, patience=None),
           init=params)  # finite as given
     params.weights[0][:] = np.nan
-    config = TrainConfig(epochs=2, batch_size=2, patience=None, shuffle=False)
-    with pytest.raises(NonFiniteLoss, match=r"epoch 1 batch 0 pair \(g0, g1\)"):
+    config = TrainConfig(epochs=2, batch_size=2, patience=None)
+    # Every pair is non-finite, so the first one epoch 1 visits is named.
+    a, b, _ = pairs[gradcheck.pair_order(config, len(pairs))[0]]
+    with pytest.raises(NonFiniteLoss, match=rf"epoch 1 batch 0 pair \({a}, {b}\)"):
         train(gts, pairs, None, hyper, config, init=params)

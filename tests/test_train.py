@@ -14,10 +14,11 @@ from ipsim.errors import (
     NonFiniteLoss,
     VocabularyMismatch,
 )
-from ipsim.model import Buffers, Hyper, init_params
+from ipsim.model import Buffers, Hyper, ModelParams, init_params
 from ipsim.train import (
     MAGIC,
     TrainConfig,
+    _Optimizer,
     cosine_embedding_loss,
     evaluate,
     load_checkpoint,
@@ -25,7 +26,7 @@ from ipsim.train import (
     train,
     write_trace,
 )
-from reference import loss_reference
+from reference import loss_reference, optimizer_reference
 
 HYPER = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout="max", dropout=0.1)
 
@@ -73,9 +74,8 @@ def fresh_nan_rows(self, count: int) -> Buffers:
     def fresh(a):
         return np.full((count, *a.shape[1:]), np.nan).astype(a.dtype)
 
-    return Buffers(fresh(self.features), [fresh(z) for z in self.pre_act],
-                   [fresh(h) for h in self.hidden], [fresh(m) for m in self.masks],
-                   fresh(self.scratch), fresh(self.grad))
+    return Buffers(fresh(self.features), [fresh(h) for h in self.hidden],
+                   [fresh(m) for m in self.masks], fresh(self.scratch), fresh(self.grad))
 
 
 def test_training_is_deterministic(monkeypatch):
@@ -168,6 +168,10 @@ MALFORMED_HEADERS = {
     "no-arrays": (lambda header: {k: v for k, v in header.items() if k != "arrays"},
                   "KeyError: 'arrays'"),
     "list": (lambda header: [header], "not a JSON object"),
+    # The arrays are 8 wide; a header that claims 16 contradicts them.
+    "hyper-contradicts-arrays": (
+        lambda header: {**header, "hyper": {**header["hyper"], "hidden_dim": 16}},
+        r"hyper needs arrays of shapes \[\(\d+, 16\), "),
 }
 
 
@@ -236,6 +240,22 @@ def test_optimizers_diverge_from_sgd():
     assert blobs["sgd"] != blobs["momentum"]
     assert blobs["sgd"] != blobs["adam"]
     assert blobs["momentum"] != blobs["adam"]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
+def test_optimizer_matches_per_array_reference(optimizer):
+    params = init_params(HYPER, seed=6)
+    rng = np.random.default_rng(6)
+    grads = [ModelParams(rng.standard_normal(params.flat.shape), params.shapes)
+             for _ in range(25)]
+    stepped = params.copy()
+    step = _Optimizer(TrainConfig(lr=0.01, optimizer=optimizer), stepped)
+    for g in grads:
+        step.step(stepped, g)
+    want = optimizer_reference(optimizer, 0.01, params.arrays(), [g.arrays() for g in grads])
+    for got, expected in zip(stepped.arrays(), want, strict=True):
+        assert np.array_equal(got, expected)
+    assert not np.array_equal(stepped.flat, params.flat)
 
 
 def test_unknown_optimizer_rejected():
