@@ -28,6 +28,7 @@ from ipsim.detect import DEFAULT_DELTA, Verdict, check_delta, sweep_delta
 from ipsim.dfg import serialize
 from ipsim.encode import GraphTensors, encode, pack
 from ipsim.errors import IpsimError
+from ipsim.frontend.preprocess import read_source
 from ipsim.model import Hyper, embed
 from ipsim.pipeline import compile_design
 from ipsim.project import pca_project, projection_csv
@@ -137,7 +138,7 @@ def cmd_dfg(args) -> int:
 
 
 def cmd_variants(args) -> int:
-    source = Path(args.file).read_text()
+    source = read_source(args.file)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.file).stem

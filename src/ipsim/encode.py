@@ -25,7 +25,7 @@ from ipsim.errors import EmptyGraph
 
 VOCAB_VERSION = "kinds-v1.36"
 FEATURE_DIM = len(NODE_KINDS)
-SPARSE_THRESHOLD = 512
+SPARSE_THRESHOLD = 192  # nodes: dense embeds win up to here, CSR ones from about 220
 
 
 @dataclass

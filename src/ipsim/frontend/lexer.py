@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
 import re
-from dataclasses import dataclass
 
 from ipsim.errors import SourceLocation, VerilogSyntaxError
 
@@ -29,56 +29,62 @@ UNSUPPORTED_KEYWORDS = frozenset(
 
 GATE_KEYWORDS = frozenset("and nand or nor xor xnor not buf".split())
 
+_RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
+
+# Each match skips blanks, then takes one token into the group named for
+# its kind. An ident may still turn out a keyword; an escaped identifier is
+# an ident without its backslash; "bad" is a character that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<newline>\n)
-  | (?P<blank>[ \t\r\f]+)
-  | (?P<based>(\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
-  | (?P<real>\d[\d_]*\.\d+)
-  | (?P<number>\d[\d_]*)
-  | (?P<escaped>\\\S+)
-  | (?P<system>\$[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~
-       |[-+*/%&|^~!<>=?:;,.()\[\]{}@\#])
-  | (?P<bad>.)
+    [ \t\r\f\n]* (?:
+      (?P<real>\d[\d_]*\.\d+)
+    | (?P<number>(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+|\d[\d_]*)
+    | (?P<escaped>\\\S+)
+    | (?P<system>\$[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~
+         |[-+*/%&|^~!<>=?:;,.()\[\]{}@\#])
+    | (?P<bad>.)
+    | (?P<eof>\Z) )
     """,
     re.VERBOSE,
 )
 
-# Token kind of each _TOKEN_RE group; an ident may still turn out a keyword.
-_KINDS = {"based": "number", "number": "number", "real": "real", "escaped": "ident",
-          "system": "system", "ident": "ident", "op": "op"}
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword | ident | number | op | system | real | eof
-    text: str
-    loc: SourceLocation
-
-
-def tokenize(text: str, path: str = "<text>") -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+def tokenize(text: str, path: str = "<text>") -> tuple[list[str], list[str], list[int]]:
+    """Kind (keyword, ident, number, op, system, real or eof), text and
+    offset of each token, as three lists that end with eof at len(text)."""
+    kinds, texts, offsets = [], [], []
     for m in _TOKEN_RE.finditer(text):
-        group, word = m.lastgroup, m.group()
-        if group == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        if group == "blank":
-            continue
-        loc = SourceLocation(path, line, m.start() - line_start + 1)
-        if group == "bad":
-            raise VerilogSyntaxError(loc, ("a token",), word)
-        kind = _KINDS[group]
-        if group == "escaped":
-            word = word[1:]
-        elif group == "ident" and (word in KEYWORDS or word in UNSUPPORTED_KEYWORDS):
+        kind = m.lastgroup
+        offsets.append(m.start(kind))
+        word = m[kind]
+        if kind == "ident" and word in _RESERVED:
             kind = "keyword"
-        tokens.append(Token(kind, word, loc))
-    tokens.append(Token("eof", "", SourceLocation(path, line, len(text) - line_start + 1)))
-    return tokens
+        elif kind == "escaped":
+            kind, word = "ident", word[1:]
+        kinds.append(kind)
+        texts.append(word)
+        if kind == "eof":  # an empty match at the end follows one after blanks
+            break
+    if "bad" in kinds:
+        bad = kinds.index("bad")
+        raise VerilogSyntaxError(Lines(text, path).location(offsets[bad]), ("a token",), texts[bad])
+    return kinds, texts, offsets
+
+
+class Lines:
+    """Offsets in one text to locations, by line starts found on first use."""
+
+    def __init__(self, text: str, path: str):
+        self.text, self.path = text, path
+        self.starts: list[int] | None = None
+
+    def location(self, offset: int) -> SourceLocation:
+        if self.starts is None:
+            self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        line = bisect.bisect_right(self.starts, offset)
+        return SourceLocation(self.path, line, offset - self.starts[line - 1] + 1)
 
 
 def parse_number(text: str) -> int | None:

@@ -8,7 +8,7 @@ the Verilog standard.
 from __future__ import annotations
 
 from ipsim.errors import SourceLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
-from ipsim.frontend.lexer import GATE_KEYWORDS, UNSUPPORTED_KEYWORDS, Token, parse_number, tokenize
+from ipsim.frontend.lexer import GATE_KEYWORDS, UNSUPPORTED_KEYWORDS, Lines, parse_number, tokenize
 from ipsim.frontend import nodes as n
 
 UNARY_OPS = frozenset(["~", "!", "&", "|", "^", "~&", "~|", "~^", "^~", "+", "-"])
@@ -28,58 +28,79 @@ BINARY_PREC = {
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+    def __init__(self, source: str, path: str):
+        self.kinds, self.texts, self.offsets = tokenize(source, path)
+        self.lines = Lines(source, path)
         self.path = path
         self.pos = 0
+        # The current token's kind and text, which advance keeps in step.
+        self.kind, self.text = self.kinds[0], self.texts[0]
         # Ports of the module being parsed, by name: the first of each
         # name, as ModuleDecl.port finds it.
         self.ports: dict[str, n.Port] = {}
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def loc(self) -> SourceLocation:
+        """The current token's location."""
+        return self.lines.location(self.offsets[self.pos])
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        """Step past the current token, unless it is eof; return its text."""
+        text = self.text
+        if self.kind != "eof":
             self.pos += 1
-        return tok
+            self.kind, self.text = self.kinds[self.pos], self.texts[self.pos]
+        return text
 
     def check(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("op", "keyword")
+        return self.text == text and self.kind in ("op", "keyword")
 
-    def accept(self, text: str) -> Token | None:
-        if self.check(text):
-            return self.advance()
-        return None
+    def accept(self, text: str) -> str | None:
+        return self.advance() if self.check(text) else None
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> str:
         if not self.check(text):
             self.error(repr(text))
         return self.advance()
 
-    def expect_ident(self) -> Token:
-        if self.cur.kind != "ident":
+    def expect_ident(self) -> str:
+        if self.kind != "ident":
             self.error("an identifier")
         return self.advance()
 
+    def expect_at(self, text: str) -> SourceLocation:
+        """Expect ``text``, and return its location."""
+        loc = self.loc()
+        self.expect(text)
+        return loc
+
+    def expect_named(self) -> tuple[str, SourceLocation]:
+        """An identifier's text and location."""
+        loc = self.loc()
+        return self.expect_ident(), loc
+
+    def parse_list(self, parse_item) -> list:
+        """One or more ``parse_item()`` results, separated by commas."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return items
+
     def error(self, *expected: str):
-        got = self.cur.text if self.cur.kind != "eof" else "end of input"
-        raise VerilogSyntaxError(self.cur.loc, expected, got)
+        got = self.text if self.kind != "eof" else "end of input"
+        raise VerilogSyntaxError(self.loc(), expected, got)
 
     def unsupported(self, construct: str, loc: SourceLocation | None = None):
-        raise UnsupportedConstruct(loc or self.cur.loc, construct)
+        raise UnsupportedConstruct(loc or self.loc(), construct)
 
     # --- top level ---------------------------------------------------
 
     def parse_source(self) -> n.Ast:
         modules = []
-        while self.cur.kind != "eof":
+        while self.kind != "eof":
             if self.check("module"):
                 modules.append(self.parse_module())
-            elif self.cur.kind == "keyword" and self.cur.text in UNSUPPORTED_KEYWORDS:
-                self.unsupported(self.cur.text)
+            elif self.kind == "keyword" and self.text in UNSUPPORTED_KEYWORDS:
+                self.unsupported(self.text)
             else:
                 self.error("'module'")
         ast = n.Ast(modules)
@@ -88,23 +109,19 @@ class _Parser:
         return ast
 
     def parse_module(self) -> n.ModuleDecl:
-        loc = self.expect("module").loc
-        name = self.expect_ident().text
-        mod = n.ModuleDecl(
-            name=name, ports=[], params=[], nets=[], assigns=[],
-            always_blocks=[], instances=[], gates=[], loc=loc,
-        )
+        loc = self.expect_at("module")
+        name = self.expect_ident()
+        mod = n.ModuleDecl(name=name, ports=[], params=[], nets=[], assigns=[], always_blocks=[],
+                           instances=[], gates=[], loc=loc)
         if self.accept("#"):
             self.parse_param_header(mod)
         header_names: list[str] = []
         if self.accept("("):
             if not self.accept(")"):
-                if self.cur.text in ("input", "output", "inout"):
+                if self.text in ("input", "output", "inout"):
                     self.parse_ansi_ports(mod)
                 else:
-                    header_names.append(self.expect_ident().text)
-                    while self.accept(","):
-                        header_names.append(self.expect_ident().text)
+                    header_names = self.parse_list(self.expect_ident)
                 self.expect(")")
         self.expect(";")
         for pname in header_names:
@@ -114,7 +131,7 @@ class _Parser:
         for port in mod.ports:
             self.ports.setdefault(port.name, port)
         while not self.check("endmodule"):
-            if self.cur.kind == "eof":
+            if self.kind == "eof":
                 self.error("'endmodule'")
             self.parse_item(mod)
         self.expect("endmodule")
@@ -129,9 +146,9 @@ class _Parser:
         while True:
             if self.check("["):
                 self.parse_range()  # parameter range is metadata we don't keep
-            tok = self.expect_ident()
+            name, loc = self.expect_named()
             self.expect("=")
-            mod.params.append(n.ParamDecl(tok.text, self.parse_expr(), local=False, loc=tok.loc))
+            mod.params.append(n.ParamDecl(name, self.parse_expr(), local=False, loc=loc))
             if not self.accept(","):
                 break
             self.accept("parameter")
@@ -139,24 +156,15 @@ class _Parser:
 
     def parse_ansi_ports(self, mod: n.ModuleDecl):
         direction = None
-        is_reg = False
-        width = None
         while True:
-            if self.cur.text in ("input", "output", "inout"):
-                direction = self.advance().text
-                is_reg = False
-                width = None
-                if self.check("reg"):
-                    self.advance()
-                    is_reg = True
-                elif self.check("wire"):
-                    self.advance()
-                if self.check("["):
-                    width = self.parse_range()
+            if self.text in ("input", "output", "inout"):
+                direction = self.advance()
+                is_reg = (self.accept("reg") or self.accept("wire")) == "reg"
+                width = self.parse_range() if self.check("[") else None
             if direction is None:
                 self.error("'input'", "'output'", "'inout'")
-            tok = self.expect_ident()
-            mod.ports.append(n.Port(tok.text, direction, width, tok.loc, is_reg=is_reg))
+            name, loc = self.expect_named()
+            mod.ports.append(n.Port(name, direction, width, loc, is_reg=is_reg))
             if not self.accept(","):
                 break
 
@@ -171,79 +179,72 @@ class _Parser:
     # --- module items ------------------------------------------------
 
     def parse_item(self, mod: n.ModuleDecl):
-        tok = self.cur
-        if tok.text in ("input", "output", "inout"):
+        kind, text = self.kind, self.text
+        if text in ("input", "output", "inout"):
             self.parse_port_decl(mod)
-        elif tok.text in ("wire", "reg"):
+        elif text in ("wire", "reg"):
             self.parse_net_decl(mod)
-        elif tok.text in ("parameter", "localparam"):
+        elif text in ("parameter", "localparam"):
             self.parse_param_decl(mod)
-        elif tok.text == "assign":
+        elif text == "assign":
             self.parse_assign(mod)
-        elif tok.text == "always":
+        elif text == "always":
             self.parse_always(mod)
-        elif tok.kind == "keyword" and tok.text in GATE_KEYWORDS:
+        elif kind == "keyword" and text in GATE_KEYWORDS:
             self.parse_gate(mod)
-        elif tok.kind == "keyword" and tok.text in UNSUPPORTED_KEYWORDS:
-            self.unsupported(tok.text)
-        elif tok.kind == "ident":
+        elif kind == "keyword" and text in UNSUPPORTED_KEYWORDS:
+            self.unsupported(text)
+        elif kind == "ident":
             self.parse_instance(mod)
-        elif tok.kind == "system":
-            self.unsupported(f"system task {tok.text}")
+        elif kind == "system":
+            self.unsupported(f"system task {text}")
         else:
             self.error("a module item")
 
     def parse_port_decl(self, mod: n.ModuleDecl):
-        direction = self.advance().text
-        is_reg = False
-        if self.check("reg"):
-            self.advance()
-            is_reg = True
-        elif self.check("wire"):
-            self.advance()
+        direction = self.advance()
+        is_reg = (self.accept("reg") or self.accept("wire")) == "reg"
         width = self.parse_range() if self.check("[") else None
         while True:
-            tok = self.expect_ident()
-            port = self.ports.get(tok.text)
+            name, loc = self.expect_named()
+            port = self.ports.get(name)
             if port is None:
-                port = n.Port(tok.text, direction, width, tok.loc, is_reg=is_reg)
+                port = n.Port(name, direction, width, loc, is_reg=is_reg)
                 mod.ports.append(port)
-                self.ports[tok.text] = port
+                self.ports[name] = port
             elif port.direction:
-                raise VerilogSyntaxError(tok.loc, (f"a single declaration of port {tok.text!r}",), "redeclaration")
+                raise VerilogSyntaxError(loc, (f"a single declaration of port {name!r}",), "redeclaration")
             else:
-                port.direction = direction
-                port.width = width
-                port.is_reg = is_reg
+                port.direction, port.width, port.is_reg = direction, width, is_reg
             if not self.accept(","):
                 break
         self.expect(";")
 
     def parse_net_decl(self, mod: n.ModuleDecl):
-        kind = self.advance().text
+        kind = self.advance()
         width = self.parse_range() if self.check("[") else None
         while True:
-            tok = self.expect_ident()
+            name, loc = self.expect_named()
             if self.check("["):
-                self.unsupported("memory array declaration", tok.loc)
-            mod.nets.append(n.NetDecl(tok.text, kind, width, tok.loc))
+                self.unsupported("memory array declaration", loc)
+            mod.nets.append(n.NetDecl(name, kind, width, loc))
             mod.item_order.append(("net", len(mod.nets) - 1))
             if self.accept("="):
                 rhs = self.parse_expr()
-                mod.assigns.append(n.ContinuousAssign(n.Ident(tok.loc, tok.text), rhs, tok.loc))
+                mod.assigns.append(n.ContinuousAssign(n.Ident(loc, name), rhs, loc))
                 mod.item_order.append(("assign", len(mod.assigns) - 1))
             if not self.accept(","):
                 break
         self.expect(";")
 
     def parse_param_decl(self, mod: n.ModuleDecl):
-        local = self.advance().text == "localparam"
+        local = self.advance() == "localparam"
         if self.check("["):
             self.parse_range()
         while True:
-            tok = self.expect_ident()
+            name, loc = self.expect_named()
             self.expect("=")
-            mod.params.append(n.ParamDecl(tok.text, self.parse_expr(), local=local, loc=tok.loc))
+            mod.params.append(n.ParamDecl(name, self.parse_expr(), local=local, loc=loc))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -263,7 +264,7 @@ class _Parser:
         self.expect(";")
 
     def parse_always(self, mod: n.ModuleDecl):
-        loc = self.expect("always").loc
+        loc = self.expect_at("always")
         self.expect("@")
         sens = self.parse_sensitivity()
         body = self.parse_stmt()
@@ -280,22 +281,22 @@ class _Parser:
         items = []
         while True:
             edge = None
-            if self.cur.text in ("posedge", "negedge"):
-                edge = self.advance().text
-            items.append(n.SensItem(edge, self.expect_ident().text))
+            if self.text in ("posedge", "negedge"):
+                edge = self.advance()
+            items.append(n.SensItem(edge, self.expect_ident()))
             if not (self.accept("or") or self.accept(",")):
                 break
         self.expect(")")
         return items
 
     def parse_stmt(self) -> list:
-        tok = self.cur
+        loc = self.loc()
         if self.accept("begin"):
             if self.accept(":"):
                 self.expect_ident()  # named blocks: name is ignorable metadata
             stmts: list = []
             while not self.check("end"):
-                if self.cur.kind == "eof":
+                if self.kind == "eof":
                     self.error("'end'")
                 stmts.extend(self.parse_stmt())
             self.expect("end")
@@ -306,15 +307,15 @@ class _Parser:
             self.expect(")")
             then_body = self.parse_stmt()
             else_body = self.parse_stmt() if self.accept("else") else []
-            return [n.IfStmt(cond, then_body, else_body, tok.loc)]
-        if tok.text in ("case", "casex", "casez"):
+            return [n.IfStmt(cond, then_body, else_body, loc)]
+        if self.text in ("case", "casex", "casez"):
             return [self.parse_case()]
         if self.accept(";"):
             return []
-        if tok.kind == "keyword" and tok.text in UNSUPPORTED_KEYWORDS:
-            self.unsupported(tok.text)
-        if tok.kind == "system":
-            self.unsupported(f"system task {tok.text}")
+        if self.kind == "keyword" and self.text in UNSUPPORTED_KEYWORDS:
+            self.unsupported(self.text)
+        if self.kind == "system":
+            self.unsupported(f"system task {self.text}")
         if self.check("#"):
             self.unsupported("delay control")
         lhs = self.parse_lvalue()
@@ -326,37 +327,34 @@ class _Parser:
             self.error("'='", "'<='")
         rhs = self.parse_expr()
         self.expect(";")
-        return [n.AssignStmt(lhs, rhs, blocking, tok.loc)]
+        return [n.AssignStmt(lhs, rhs, blocking, loc)]
 
     def parse_case(self) -> n.CaseStmt:
-        loc = self.advance().loc  # case/casex/casez
+        loc = self.loc()
+        self.advance()  # case/casex/casez
         self.expect("(")
         subject = self.parse_expr()
         self.expect(")")
         items: list[n.CaseItem] = []
         while not self.check("endcase"):
-            if self.cur.kind == "eof":
+            if self.kind == "eof":
                 self.error("'endcase'")
             if self.accept("default"):
                 self.accept(":")
                 items.append(n.CaseItem(None, self.parse_stmt()))
             else:
-                labels = [self.parse_expr()]
-                while self.accept(","):
-                    labels.append(self.parse_expr())
+                labels = self.parse_list(self.parse_expr)
                 self.expect(":")
                 items.append(n.CaseItem(tuple(labels), self.parse_stmt()))
         self.expect("endcase")
         return n.CaseStmt(subject, items, loc)
 
     def parse_gate(self, mod: n.ModuleDecl):
-        gate = self.advance().text
+        gate = self.advance()
         while True:
-            inst_name = self.expect_ident().text if self.cur.kind == "ident" else None
-            loc = self.expect("(").loc
-            terms = [self.parse_expr()]
-            while self.accept(","):
-                terms.append(self.parse_expr())
+            inst_name = self.expect_ident() if self.kind == "ident" else None
+            loc = self.expect_at("(")
+            terms = self.parse_list(self.parse_expr)
             self.expect(")")
             mod.gates.append(n.GateInstance(gate, inst_name, terms, loc))
             mod.item_order.append(("gate", len(mod.gates) - 1))
@@ -365,14 +363,14 @@ class _Parser:
         self.expect(";")
 
     def parse_instance(self, mod: n.ModuleDecl):
-        mtok = self.expect_ident()
+        module, loc = self.expect_named()
         overrides: list[tuple[str | None, n.Expr]] = []
         if self.accept("#"):
             self.expect("(")
             if not self.check(")"):
                 while True:
                     if self.accept("."):
-                        pname = self.expect_ident().text
+                        pname = self.expect_ident()
                         self.expect("(")
                         overrides.append((pname, self.parse_expr()))
                         self.expect(")")
@@ -382,11 +380,11 @@ class _Parser:
                         break
             self.expect(")")
         while True:
-            itok = self.expect_ident()
+            instance = self.expect_ident()
             self.expect("(")
             conns = self.parse_connections()
             self.expect(")")
-            mod.instances.append(n.Instance(mtok.text, itok.text, overrides, conns, mtok.loc))
+            mod.instances.append(n.Instance(module, instance, overrides, conns, loc))
             mod.item_order.append(("instance", len(mod.instances) - 1))
             if not self.accept(","):
                 break
@@ -398,7 +396,7 @@ class _Parser:
             return conns
         while True:
             if self.accept("."):
-                pname = self.expect_ident().text
+                pname = self.expect_ident()
                 self.expect("(")
                 expr = None if self.check(")") else self.parse_expr()
                 self.expect(")")
@@ -415,14 +413,12 @@ class _Parser:
 
     def parse_lvalue(self) -> n.Expr:
         if self.check("{"):
-            loc = self.advance().loc
-            parts = [self.parse_lvalue()]
-            while self.accept(","):
-                parts.append(self.parse_lvalue())
+            loc = self.expect_at("{")
+            parts = self.parse_list(self.parse_lvalue)
             self.expect("}")
             return n.Concat(loc, tuple(parts))
-        tok = self.expect_ident()
-        return self.parse_postfix(n.Ident(tok.loc, tok.text))
+        name, loc = self.expect_named()
+        return self.parse_postfix(n.Ident(loc, name))
 
     def parse_expr(self) -> n.Expr:
         left = self.parse_binary(0)
@@ -435,8 +431,8 @@ class _Parser:
 
     def parse_binary(self, min_prec: int) -> n.Expr:
         left = self.parse_unary()
-        while self.cur.kind == "op" and BINARY_PREC.get(self.cur.text, -1) >= min_prec:
-            op = self.advance().text
+        while self.kind == "op" and BINARY_PREC.get(self.text, -1) >= min_prec:
+            op = self.advance()
             if op in ("===", "!=="):
                 op = "==" if op == "===" else "!="  # four-state equality collapses
             right = self.parse_binary(BINARY_PREC[op if op in BINARY_PREC else "=="] + 1)
@@ -444,30 +440,29 @@ class _Parser:
         return left
 
     def parse_unary(self) -> n.Expr:
-        if self.cur.kind == "op" and self.cur.text in UNARY_OPS:
-            tok = self.advance()
+        if self.kind == "op" and self.text in UNARY_OPS:
+            loc = self.loc()
+            op = self.advance()
             operand = self.parse_unary()
-            if tok.text == "+":
-                return operand
-            return n.Unary(tok.loc, tok.text, operand)
+            return operand if op == "+" else n.Unary(loc, op, operand)
         return self.parse_primary()
 
     def parse_primary(self) -> n.Expr:
-        tok = self.cur
-        if tok.kind == "number":
+        kind, text, loc = self.kind, self.text, self.loc()
+        if kind == "number":
             self.advance()
-            return n.Number(tok.loc, tok.text, parse_number(tok.text))
-        if tok.kind == "real":
+            return n.Number(loc, text, parse_number(text))
+        if kind == "real":
             self.unsupported("real literal")
-        if tok.kind == "system":
-            self.unsupported(f"system function {tok.text}")
-        if tok.kind == "ident":
+        if kind == "system":
+            self.unsupported(f"system function {text}")
+        if kind == "ident":
             self.advance()
             if self.check("."):
-                self.unsupported("hierarchical reference", tok.loc)
+                self.unsupported("hierarchical reference", loc)
             if self.check("("):
-                self.unsupported("function call", tok.loc)
-            return self.parse_postfix(n.Ident(tok.loc, tok.text))
+                self.unsupported("function call", loc)
+            return self.parse_postfix(n.Ident(loc, text))
         if self.accept("("):
             expr = self.parse_expr()
             self.expect(")")
@@ -478,13 +473,13 @@ class _Parser:
 
     def parse_postfix(self, base: n.Expr) -> n.Expr:
         while self.check("["):
-            loc = self.advance().loc
+            loc = self.expect_at("[")
             first = self.parse_expr()
             if self.accept(":"):
                 second = self.parse_expr()
                 self.expect("]")
                 base = n.PartSelect(loc, base, first, second)
-            elif self.cur.text in ("+", "-") and self.tokens[self.pos + 1].text == ":":
+            elif self.text in ("+", "-") and self.texts[self.pos + 1] == ":":
                 self.unsupported("indexed part select", loc)
             else:
                 self.expect("]")
@@ -494,13 +489,10 @@ class _Parser:
         return base
 
     def parse_concat(self) -> n.Expr:
-        loc = self.expect("{").loc
+        loc = self.expect_at("{")
         first = self.parse_expr()
-        if self.check("{"):
-            self.advance()
-            parts = [self.parse_expr()]
-            while self.accept(","):
-                parts.append(self.parse_expr())
+        if self.accept("{"):
+            parts = self.parse_list(self.parse_expr)
             self.expect("}")
             self.expect("}")
             return n.Repeat(loc, first, tuple(parts))
@@ -565,7 +557,7 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
 
 def parse(text: str, path: str = "<text>") -> n.Ast:
     """Parse preprocessed Verilog text into an Ast."""
-    return _Parser(tokenize(text, path), path).parse_source()
+    return _Parser(text, path).parse_source()
 
 
 def parse_unit(preprocessed: list[tuple[str, str]]) -> n.Ast:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ipsim.errors import PreprocessError, SourceLocation
@@ -44,6 +45,15 @@ class SourceUnit:
             raise PreprocessError("source unit has no files")
 
 
+def read_source(path: str | os.PathLike) -> str:
+    """A design file's text, decoded as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PreprocessError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+
+
 def strip_comments(text: str) -> str:
     """Remove // and /* */ comments, leaving string literals intact.
 
@@ -60,20 +70,23 @@ def _drop_comment(m: re.Match) -> str:
     return found if found[0] == '"' else "\n" * found.count("\n")
 
 
-def _expand_macros(line: str, macros: dict[str, str], loc: SourceLocation, depth: int = 1,
-                   uses: itertools.count | None = None) -> str:
+def _expand_macros(line: str, macros: dict[str, str], error: Callable[[str], PreprocessError],
+                   depth: int = 1, uses: itertools.count | None = None) -> str:
     """Replace each macro use with its body, expanded in turn one level deeper.
-    ``uses`` numbers the line's substitutions, nested ones included."""
+    ``uses`` numbers the line's substitutions, nested ones included, and
+    ``error`` makes the error for the line."""
+    if "`" not in line:
+        return line
     uses = uses or itertools.count(1)
 
     def substitute(m: re.Match) -> str:
         if depth > MAX_MACRO_DEPTH:
-            raise PreprocessError(f"macro recursion beyond depth {MAX_MACRO_DEPTH}", loc)
+            raise error(f"macro recursion beyond depth {MAX_MACRO_DEPTH}")
         if next(uses) > MAX_MACRO_USES:
-            raise PreprocessError(f"macro expansion beyond {MAX_MACRO_USES} uses on one line", loc)
+            raise error(f"macro expansion beyond {MAX_MACRO_USES} uses on one line")
         if m.group(1) not in macros:
-            raise PreprocessError(f"undefined macro `{m.group(1)}", loc)
-        return _expand_macros(macros[m.group(1)], macros, loc, depth + 1, uses)
+            raise error(f"undefined macro `{m.group(1)}")
+        return _expand_macros(macros[m.group(1)], macros, error, depth + 1, uses)
 
     return MACRO_RE.sub(substitute, line)
 
@@ -103,8 +116,7 @@ class _Preprocessor:
             if cand in self.file_map:
                 return cand, self.file_map[cand]
             if os.path.isfile(cand):
-                with open(cand, encoding="utf-8") as fh:
-                    return cand, fh.read()
+                return cand, read_source(cand)
         raise PreprocessError(f"cannot resolve `include \"{inc}\" from {including}")
 
     def _process_lines(self, path: str, text: str, include_stack: tuple[str, ...]) -> list[str]:
@@ -112,15 +124,18 @@ class _Preprocessor:
         out: list[str] = []
         # Each conditional frame: [active, parent_active, seen_else].
         cond: list[list[bool]] = []
-        i = 0
+        i = 0  # lines read, so the number of the line being processed
+
+        def error(message: str) -> PreprocessError:
+            return PreprocessError(message, SourceLocation(path, i, 1))
+
         while i < len(raw_lines):
             line = raw_lines[i]
-            loc = SourceLocation(path, i + 1, 1)
             i += 1
             stripped = line.strip()
-            active = all(f[0] for f in cond)
+            active = not cond or cond[-1][0]  # a frame is active only in an active parent
             if not stripped.startswith("`"):
-                out.append(_expand_macros(line, self.macros, loc) if active and stripped else "")
+                out.append(_expand_macros(line, self.macros, error) if active and stripped else "")
                 continue
             out.append("")
 
@@ -131,29 +146,29 @@ class _Preprocessor:
             if directive in ("ifdef", "ifndef"):
                 name = rest.split()[0] if rest else ""
                 if not name:
-                    raise PreprocessError(f"`{directive} needs a macro name", loc)
+                    raise error(f"`{directive} needs a macro name")
                 defined = name in self.macros
                 branch = defined if directive == "ifdef" else not defined
                 cond.append([active and branch, active, False])
             elif directive == "else":
                 if not cond or cond[-1][2]:
-                    raise PreprocessError("`else without matching `ifdef", loc)
+                    raise error("`else without matching `ifdef")
                 frame = cond[-1]
                 frame[0] = frame[1] and not frame[0]
                 frame[2] = True
             elif directive == "endif":
                 if not cond:
-                    raise PreprocessError("`endif without matching `ifdef", loc)
+                    raise error("`endif without matching `ifdef")
                 cond.pop()
             elif not active:
                 continue
             elif directive == "define":
                 dm = re.match(r"([A-Za-z_][A-Za-z0-9_$]*)(.*)", rest)
                 if dm is None:
-                    raise PreprocessError("`define needs a macro name", loc)
+                    raise error("`define needs a macro name")
                 name, body = dm.group(1), dm.group(2)
                 if body.startswith("("):
-                    raise PreprocessError("function-like macros are not supported", loc)
+                    raise error("function-like macros are not supported")
                 while body.rstrip().endswith("\\") and i < len(raw_lines):
                     body = body.rstrip()[:-1] + " " + raw_lines[i].strip()
                     i += 1
@@ -164,17 +179,13 @@ class _Preprocessor:
             elif directive == "include":
                 im = re.match(r'"([^"]+)"', rest)
                 if im is None:
-                    raise PreprocessError("`include needs a quoted path", loc)
-                inc_path, inc_text = self._read_include(im.group(1), path)
-                out.extend(
-                    ln
-                    for ln in self.process_file(inc_path, inc_text, include_stack).split("\n")
-                    if ln.strip()
-                )
+                    raise error("`include needs a quoted path")
+                inc_text = self.process_file(*self._read_include(im.group(1), path), include_stack)
+                out.extend(ln for ln in inc_text.split("\n") if ln.strip())
             elif directive == "timescale":
                 continue
             else:
-                raise PreprocessError(f"unsupported directive `{directive}", loc)
+                raise error(f"unsupported directive `{directive}")
         if cond:
             raise PreprocessError(f"unterminated `ifdef at end of {path}")
         return out

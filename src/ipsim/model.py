@@ -196,20 +196,21 @@ class Buffers:
     Scratch that is dead before a later step writes it shares one
     array: the dropout draws, X W and P d_h all go to ``scratch``. A
     cache holds views of the rows its pass wrote, so it is valid until
-    the next pass that writes them."""
+    the next pass that writes them. ``forward``'s own have no masks or
+    ``grad``, so a ``backward`` of that pass allocates its d_h."""
 
     features: np.ndarray         # one-hot features, cast to float64
     hidden: list[np.ndarray]     # h_{l+1} per layer
     masks: list[np.ndarray]      # bool keep mask per layer
     scratch: np.ndarray
-    grad: np.ndarray             # d_h
+    grad: np.ndarray | None      # d_h
 
     @classmethod
-    def alloc(cls, hyper: Hyper, size: int) -> "Buffers":
+    def alloc(cls, hyper: Hyper, size: int, forward_only: bool = False) -> "Buffers":
         width, layers = hyper.hidden_dim, range(hyper.num_layers)  # every layer is width wide
         return cls(np.empty((size, hyper.feat_dim)), [np.empty((size, width)) for _ in layers],
-                   [np.empty((size, width), bool) for _ in layers], np.empty((size, width)),
-                   np.empty((size, width)))
+                   [] if forward_only else [np.empty((size, width), bool) for _ in layers],
+                   np.empty((size, width)), None if forward_only else np.empty((size, width)))
 
     def rows(self, count: int) -> "Buffers":
         """Views of the first ``count`` rows of every buffer."""
@@ -253,7 +254,7 @@ def forward(params: ModelParams, gt: GraphTensors, hyper: Hyper,
         raise ShapeMismatch(f"expected {hyper.feat_dim} features, got {gt.x.shape[1]}")
     if len(params.weights) != hyper.num_layers:
         raise ShapeMismatch(f"expected {hyper.num_layers} layers, got {len(params.weights)}")
-    rows = buffers.rows(gt.num_nodes) if buffers else Buffers.alloc(hyper, gt.num_nodes)
+    rows = buffers.rows(gt.num_nodes) if buffers else Buffers.alloc(hyper, gt.num_nodes, forward_only=True)
     keep = 1.0 - hyper.dropout
     np.copyto(rows.features, gt.x)
     hidden = [rows.features]

@@ -18,6 +18,7 @@ from ipsim.dfg import Graph, build_dfg
 from ipsim.errors import DesignTooDeep, IpsimError, PipelineError
 from ipsim.frontend import SourceUnit, flatten_hierarchy, parse_unit, preprocess
 from ipsim.frontend.flatten import FlatModule
+from ipsim.frontend.preprocess import read_source
 
 
 def _stage(stage: str, design: str, fn, *args, **kwargs):
@@ -33,10 +34,7 @@ def _stage(stage: str, design: str, fn, *args, **kwargs):
 
 def unit_from_paths(paths: list[str | Path], top: str | None = None,
                     defines: dict[str, str] | None = None) -> SourceUnit:
-    files = []
-    for path in paths:
-        path = Path(path)
-        files.append((str(path), path.read_text()))
+    files = [(str(Path(path)), read_source(path)) for path in paths]
     root = str(Path(paths[0]).parent) if paths else None
     return SourceUnit(files=files, top_module=top or "", defines=dict(defines or {}), root=root)
 

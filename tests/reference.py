@@ -211,14 +211,16 @@ def trim_reference(graph):
     ))
 
 
-def tokenize_reference(text: str, path: str = "<text>"):
+def tokenize_reference(text: str, path: str = "<text>",
+                       locations: list | None = None):
     """The lexer as a character loop: blanks and newlines one per
     iteration, each token by anchored match of the token pattern's
-    token groups."""
+    token groups. Returns the kinds, texts and offsets of the tokens, and
+    appends each token's location to ``locations`` when one is given."""
     from ipsim.errors import SourceLocation, VerilogSyntaxError
-    from ipsim.frontend.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS, Token
+    from ipsim.frontend.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS
 
-    tokens = []
+    kinds, texts, offsets = [], [], []
     line, line_start = 1, 0
     pos, n = 0, len(text)
     while pos < n:
@@ -235,24 +237,29 @@ def tokenize_reference(text: str, path: str = "<text>"):
         m = _REFERENCE_TOKEN_RE.match(text, pos)
         if m is None:
             raise VerilogSyntaxError(loc, ("a token",), text[pos])
+        if locations is not None:
+            locations.append(loc)
+        offsets.append(pos)
         pos = m.end()
+        word = m.group()
         if m.lastgroup == "ident":
-            word = m.group()
-            kind = "keyword" if word in KEYWORDS or word in UNSUPPORTED_KEYWORDS else "ident"
-            tokens.append(Token(kind, word, loc))
+            kinds.append("keyword" if word in KEYWORDS or word in UNSUPPORTED_KEYWORDS else "ident")
         elif m.lastgroup == "escaped":
-            tokens.append(Token("ident", m.group()[1:], loc))
+            kinds.append("ident")
+            word = word[1:]
         elif m.lastgroup in ("based", "number"):
-            tokens.append(Token("number", m.group(), loc))
-        elif m.lastgroup == "real":
-            tokens.append(Token("real", m.group(), loc))
-        elif m.lastgroup == "system":
-            tokens.append(Token("system", m.group(), loc))
+            kinds.append("number")
+        elif m.lastgroup in ("real", "system"):
+            kinds.append(m.lastgroup)
         else:
-            tokens.append(Token("op", m.group(), loc))
-    end_line = line
-    tokens.append(Token("eof", "", SourceLocation(path, end_line, max(1, n - line_start + 1))))
-    return tokens
+            kinds.append("op")
+        texts.append(word)
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(n)
+    if locations is not None:
+        locations.append(SourceLocation(path, line, max(1, n - line_start + 1)))
+    return kinds, texts, offsets
 
 
 # The token groups alone: no blank, newline or catch-all group.

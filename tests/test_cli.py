@@ -222,6 +222,24 @@ def test_compare_too_deep_design_is_an_input_error(checkpoint, tmp_path, capsys)
     assert re.search(rf"error: {re.escape(str(deep))}: \w+: design nests too deep", err)
 
 
+def test_non_utf8_design_is_an_input_error(checkpoint, tmp_path, capsys):
+    # A 0xff byte in a comment, at byte 3: of a design, and of a file that
+    # a design includes.
+    bad = tmp_path / "bad.v"
+    bad.write_bytes(b"// \xff\n" + FULL_ADDER.encode())
+    (tmp_path / "bad.vh").write_bytes(b"// \xff\n")
+    top = tmp_path / "top.v"
+    top.write_text('`include "bad.vh"\n' + FULL_ADDER)
+    model = ["--checkpoint", str(checkpoint)]
+    for args, culprit in [(["compare", str(bad), str(top), *model], bad),
+                          (["compare", str(top), str(top), *model], tmp_path / "bad.vh"),
+                          (["variants", str(bad), "--out-dir", str(tmp_path / "out")], bad)]:
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"{culprit}: not UTF-8 at byte 3" in err
+
+
 def test_compare_rejects_missing_inputs(checkpoint, capsys):
     assert main(["compare", "--checkpoint", str(checkpoint)]) == EXIT_INPUT
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipsim.encode
 from conftest import graph_from_edges, random_graph_edges
 from ipsim.dfg import KIND_INDEX
 from ipsim.encode import (
     FEATURE_DIM,
+    SPARSE_THRESHOLD,
     VOCAB_VERSION,
     adjacency,
     encode,
@@ -17,7 +20,10 @@ from ipsim.encode import (
     one_hot_features,
 )
 from ipsim.errors import EmptyGraph
+from ipsim.model import Hyper, embed, init_params
+from ipsim.pipeline import compile_text
 from reference import normalized_propagation_reference
+from test_scanners import PERFBENCH
 
 # Hand-computed normalization fixtures. For the three-node path 0-1-2
 # with self loops the degrees are (2, 3, 2), so the diagonal is
@@ -97,6 +103,23 @@ def test_encode_sparse_above_threshold():
     assert sp.issparse(gt.p)
     dense = normalize_adjacency(adjacency(g))
     np.testing.assert_allclose(gt.p.toarray(), dense, rtol=0, atol=1e-15)
+
+
+def test_sparse_path_embeds_as_dense_one_node_past_threshold(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ladder = importlib.import_module("ladder")
+    graph = compile_text(ladder.chain(SPARSE_THRESHOLD - 1, 0).text)
+    assert graph.num_nodes == SPARSE_THRESHOLD + 1
+    sparse = encode(graph)
+    monkeypatch.setattr(ipsim.encode, "SPARSE_THRESHOLD", graph.num_nodes)
+    dense = encode(graph)
+    assert sparse.is_sparse and not dense.is_sparse
+    hyper = Hyper()
+    for seed in range(3):
+        params = init_params(hyper, seed)
+        want = embed(params, dense, hyper)
+        assert np.abs(want).max() > 0.0
+        np.testing.assert_allclose(embed(params, sparse, hyper), want, rtol=0, atol=1e-12)
 
 
 def test_vocab_version_mentions_dimension():

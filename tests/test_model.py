@@ -29,6 +29,11 @@ from reference import (
 HYPER = Hyper(hidden_dim=16, num_layers=2, pool_ratio=0.5, readout="max", dropout=0.1)
 
 
+def test_inference_pass_allocates_no_masks_or_gradient(full_adder_graph):
+    cache = forward(init_params(HYPER, 0), encode(full_adder_graph), HYPER)
+    assert cache.rows.masks == [] and cache.rows.grad is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 6))
 def test_gcn_layer_matches_dense_reference(seed, size, dout):
