@@ -6,26 +6,28 @@ the model's float64 products read them exactly. Each model pass casts
 its features to float64 once, into the buffers that its forward and
 backward steps share (``ipsim.model.Buffers``).
 The message passing operator is the symmetric degree-normalized
-adjacency with self loops, in float64; graphs past the sparse threshold
-switch to CSR so netlist-sized designs stay cheap. ``pack`` lays a list
-of graphs out as one block-diagonal batch (stacked features, one CSR
-propagation matrix, segment offsets) and ``take`` gathers a sub-batch
-of a pack, so training embeds a mini-batch in one model pass.
+adjacency with self loops, in float64. ``propagation`` gives every such
+matrix, of one graph or of a pack, its form: dense up to
+``SPARSE_THRESHOLD`` rows, CSR past it, so netlist-sized designs stay
+cheap and scipy loads only for a CSR. ``pack`` lays a list of graphs out
+as one block-diagonal batch (stacked features, one propagation matrix,
+segment offsets) and ``take`` gathers a sub-batch of a pack, so training
+embeds a mini-batch in one model pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ipsim.dfg import KIND_INDEX, NODE_KINDS, Graph
 from ipsim.errors import EmptyGraph
 
 VOCAB_VERSION = "kinds-v1.36"
 FEATURE_DIM = len(NODE_KINDS)
-SPARSE_THRESHOLD = 192  # nodes: dense embeds win up to here, CSR ones from about 220
+SPARSE_THRESHOLD = 192  # rows: dense embeds win up to here, CSR ones from about 220
 
 
 @dataclass
@@ -34,7 +36,7 @@ class GraphTensors:
 
     name: str
     x: np.ndarray                      # (n, FEATURE_DIM) one-hot kinds, bool
-    p: np.ndarray | sp.csr_matrix     # (n, n) normalized adjacency, symmetric
+    p: object                          # (n, n) normalized adjacency, symmetric: ndarray or CSR
     offsets: np.ndarray | None = None  # packs only: each graph's first row, then n
 
     @property
@@ -43,7 +45,7 @@ class GraphTensors:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.p)
+        return not isinstance(self.p, np.ndarray)
 
 
 def one_hot_features(graph: Graph) -> np.ndarray:
@@ -54,94 +56,85 @@ def one_hot_features(graph: Graph) -> np.ndarray:
     return x
 
 
-def adjacency(graph: Graph, sparse: bool = False):
-    """Symmetrized adjacency with self loops (A + I), parallel and
-    antiparallel edges collapsed to weight one."""
+def adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the nonzeros of the symmetrized adjacency
+    with self loops (A + I), in row-major order: parallel and
+    antiparallel edges collapse to one entry."""
     count = graph.num_nodes
     if count == 0:
         raise EmptyGraph(f"graph {graph.name!r} has no nodes")
-    if sparse:
-        rows, cols = [], []
-        for s, d in graph.edges:
-            rows.extend((s, d))
-            cols.extend((d, s))
-        rows.extend(range(count))
-        cols.extend(range(count))
-        data = np.ones(len(rows), dtype=np.float64)
-        mat = sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
-        mat.data[:] = 1.0  # duplicate entries summed by coo; flatten back to 0/1
-        return mat
-    mat = np.zeros((count, count), dtype=np.float64)
-    for s, d in graph.edges:
-        mat[s, d] = 1.0
-        mat[d, s] = 1.0
-    mat[np.diag_indices(count)] = 1.0
-    return mat
+    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.int64, 2 * len(graph.edges))
+    src, dst = ends[0::2], ends[1::2]
+    keys = np.sort(np.concatenate((src * count + dst, dst * count + src,
+                                   np.arange(count) * (count + 1))))
+    return np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], count)
 
 
-def normalize_adjacency(a_hat):
-    """D^-1/2 (A + I) D^-1/2 for dense or CSR input."""
-    if sp.issparse(a_hat):
-        deg = np.asarray(a_hat.sum(axis=1)).ravel()
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        d_mat = sp.diags(inv_sqrt)
-        return (d_mat @ a_hat @ d_mat).tocsr()
-    deg = a_hat.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+def _pointers(counts) -> np.ndarray:
+    """0, then the running sums of ``counts``."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def normalize_adjacency(nonzeros: tuple[np.ndarray, np.ndarray]):
+    """D^-1/2 (A + I) D^-1/2 from the nonzeros of A + I, in the form
+    ``propagation`` gives it."""
+    rows, cols = nonzeros
+    degree = np.bincount(rows)
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    return propagation(_pointers(degree), cols, inv_sqrt[rows] * inv_sqrt[cols])
+
+
+def propagation(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The square matrix with these row pointers, columns and values:
+    dense up to ``SPARSE_THRESHOLD`` rows, CSR past it."""
+    size = len(indptr) - 1
+    if size > SPARSE_THRESHOLD:
+        import scipy.sparse as sp  # here alone: loading it outweighs a small design's work
+        return sp.csr_matrix((values, cols, indptr), shape=(size, size))
+    p = np.zeros((size, size))
+    p[np.repeat(np.arange(size), np.diff(indptr)), cols] = values
+    return p
+
+
+def _nonzeros(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row pointers, columns and values of the nonzeros of a
+    propagation matrix, dense or CSR, in row-major order."""
+    if not isinstance(p, np.ndarray):
+        return p.indptr, p.indices, p.data
+    rows, cols = np.nonzero(p)
+    return _pointers(np.bincount(rows, minlength=len(p))), cols, p[rows, cols]
 
 
 def encode(graph: Graph) -> GraphTensors:
     """Lower a graph to (features, propagation matrix)."""
-    if graph.num_nodes == 0:
-        raise EmptyGraph(f"graph {graph.name!r} has no nodes")
-    sparse = graph.num_nodes > SPARSE_THRESHOLD
-    return GraphTensors(
-        name=graph.name,
-        x=one_hot_features(graph),
-        p=normalize_adjacency(adjacency(graph, sparse=sparse)),
-    )
-
-
-def _entries(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzeros of a propagation
-    matrix, dense or CSR, in row-major order."""
-    if sp.issparse(p):
-        coo = p.tocoo()
-        return coo.row, coo.col, coo.data
-    rows, cols = np.nonzero(p)
-    return rows, cols, p[rows, cols]
+    return GraphTensors(name=graph.name, x=one_hot_features(graph),
+                        p=normalize_adjacency(adjacency(graph)))
 
 
 def pack(tensors: list[GraphTensors]) -> GraphTensors:
     """Block-diagonal batch of the graphs in list order."""
-    offsets = np.cumsum([0] + [t.num_nodes for t in tensors])
-    entries = [_entries(t.p) for t in tensors]
-    rows = np.concatenate([r + first for (r, _, _), first in zip(entries, offsets)])
-    cols = np.concatenate([c + first for (_, c, _), first in zip(entries, offsets)])
-    size = int(offsets[-1])
-    # The entries are row-major, so each row's count gives the row pointers.
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-    p = sp.csr_matrix((np.concatenate([v for _, _, v in entries]), cols, indptr),
-                      shape=(size, size))
+    offsets = _pointers([t.num_nodes for t in tensors])
+    parts = [_nonzeros(t.p) for t in tensors]
+    p = propagation(_pointers(np.concatenate([np.diff(indptr) for indptr, _, _ in parts])),
+                    np.concatenate([c + first for (_, c, _), first in zip(parts, offsets)]),
+                    np.concatenate([v for _, _, v in parts]))
     return GraphTensors(name="pack", x=np.concatenate([t.x for t in tensors]), p=p,
                         offsets=offsets)
 
 
 def take(packed: GraphTensors, which: np.ndarray) -> GraphTensors:
     """The graphs at positions ``which`` of a pack, as a pack in that
-    order, gathered by index arithmetic: each graph's rows, and the CSR
-    entries of those rows, move as one block, and a block's column
+    order, gathered by index arithmetic: each graph's rows, and the
+    nonzeros of those rows, move as one block, and a block's column
     indices shift with its first row."""
     starts = packed.offsets[which]
     sizes = packed.offsets[which + 1] - starts
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = _pointers(sizes)
     shift = np.repeat(starts - offsets[:-1], sizes)
     rows = np.arange(offsets[-1]) + shift
-    first, counts = packed.p.indptr[rows], np.diff(packed.p.indptr)[rows]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    src = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
-    size = int(offsets[-1])
-    p = sp.csr_matrix((packed.p.data[src], packed.p.indices[src] - np.repeat(shift, counts),
-                       indptr), shape=(size, size))
+    indptr, cols, values = _nonzeros(packed.p)
+    first, counts = indptr[rows], np.diff(indptr)[rows]
+    kept = _pointers(counts)
+    src = np.arange(kept[-1]) + np.repeat(first - kept[:-1], counts)
+    p = propagation(kept, cols[src] - np.repeat(shift, counts), values[src])
     return GraphTensors(name=packed.name, x=packed.x[rows], p=p, offsets=offsets)

@@ -54,6 +54,10 @@ class _Parser:
     def check(self, text: str) -> bool:
         return self.text == text and self.kind in ("op", "keyword")
 
+    def keyword(self) -> str | None:
+        """The current token's text if it is a keyword (``\\wire`` is an identifier)."""
+        return self.text if self.kind == "keyword" else None
+
     def accept(self, text: str) -> str | None:
         return self.advance() if self.check(text) else None
 
@@ -99,7 +103,7 @@ class _Parser:
         while self.kind != "eof":
             if self.check("module"):
                 modules.append(self.parse_module())
-            elif self.kind == "keyword" and self.text in UNSUPPORTED_KEYWORDS:
+            elif self.keyword() in UNSUPPORTED_KEYWORDS:
                 self.unsupported(self.text)
             else:
                 self.error("'module'")
@@ -118,7 +122,7 @@ class _Parser:
         header_names: list[str] = []
         if self.accept("("):
             if not self.accept(")"):
-                if self.text in ("input", "output", "inout"):
+                if self.keyword() in ("input", "output", "inout"):
                     self.parse_ansi_ports(mod)
                 else:
                     header_names = self.parse_list(self.expect_ident)
@@ -157,7 +161,7 @@ class _Parser:
     def parse_ansi_ports(self, mod: n.ModuleDecl):
         direction = None
         while True:
-            if self.text in ("input", "output", "inout"):
+            if self.keyword() in ("input", "output", "inout"):
                 direction = self.advance()
                 is_reg = (self.accept("reg") or self.accept("wire")) == "reg"
                 width = self.parse_range() if self.check("[") else None
@@ -179,20 +183,20 @@ class _Parser:
     # --- module items ------------------------------------------------
 
     def parse_item(self, mod: n.ModuleDecl):
-        kind, text = self.kind, self.text
-        if text in ("input", "output", "inout"):
+        kind, text, word = self.kind, self.text, self.keyword()
+        if word in ("input", "output", "inout"):
             self.parse_port_decl(mod)
-        elif text in ("wire", "reg"):
+        elif word in ("wire", "reg"):
             self.parse_net_decl(mod)
-        elif text in ("parameter", "localparam"):
+        elif word in ("parameter", "localparam"):
             self.parse_param_decl(mod)
-        elif text == "assign":
+        elif word == "assign":
             self.parse_assign(mod)
-        elif text == "always":
+        elif word == "always":
             self.parse_always(mod)
-        elif kind == "keyword" and text in GATE_KEYWORDS:
+        elif word in GATE_KEYWORDS:
             self.parse_gate(mod)
-        elif kind == "keyword" and text in UNSUPPORTED_KEYWORDS:
+        elif word in UNSUPPORTED_KEYWORDS:
             self.unsupported(text)
         elif kind == "ident":
             self.parse_instance(mod)
@@ -281,7 +285,7 @@ class _Parser:
         items = []
         while True:
             edge = None
-            if self.text in ("posedge", "negedge"):
+            if self.keyword() in ("posedge", "negedge"):
                 edge = self.advance()
             items.append(n.SensItem(edge, self.expect_ident()))
             if not (self.accept("or") or self.accept(",")):
@@ -308,11 +312,11 @@ class _Parser:
             then_body = self.parse_stmt()
             else_body = self.parse_stmt() if self.accept("else") else []
             return [n.IfStmt(cond, then_body, else_body, loc)]
-        if self.text in ("case", "casex", "casez"):
+        if self.keyword() in ("case", "casex", "casez"):
             return [self.parse_case()]
         if self.accept(";"):
             return []
-        if self.kind == "keyword" and self.text in UNSUPPORTED_KEYWORDS:
+        if self.keyword() in UNSUPPORTED_KEYWORDS:
             self.unsupported(self.text)
         if self.kind == "system":
             self.unsupported(f"system task {self.text}")

@@ -9,8 +9,9 @@ gradient to the first maximal row per column.
 Both run on one graph or on a pack of graphs (``ipsim.encode.pack``):
 a block-diagonal propagation matrix keeps the graphs apart in the
 convolutions, and the segment offsets keep them apart in pooling and
-readout. A single graph is a batch of one whose embedding is a vector;
-a pack gives one embedding row per graph.
+readout. The matrix is dense, or CSR past ``encode.SPARSE_THRESHOLD``
+rows; only a CSR product loads scipy. A single graph is a batch of one
+whose embedding is a vector; a pack gives one embedding row per graph.
 
 Every pass writes into ``Buffers``: the caller's, which a training loop
 reuses from batch to batch, or new ones sized to the graph. The cache
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools  # csr_matvecs: scipy's own P @ X kernel
 
 from ipsim.encode import FEATURE_DIM, GraphTensors
 from ipsim.errors import ConfigError, ShapeMismatch
@@ -106,8 +105,9 @@ def _propagate(p, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out``: it zeroes a new array and has ``csr_matvecs`` add P X into
     it. Here that array is ``out``, so the values are those of ``p @ x``
     bit for bit."""
-    if not sp.issparse(p):
+    if isinstance(p, np.ndarray):
         return np.matmul(p, x, out=out)
+    from scipy.sparse import _sparsetools  # csr_matvecs: scipy's own P @ X kernel
     out.fill(0.0)
     _sparsetools.csr_matvecs(*p.shape, x.shape[1], p.indptr, p.indices, p.data,
                              x.ravel(), out.ravel())

@@ -91,6 +91,8 @@ class TrainConfig:
         check_delta(self.delta)
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise ConfigError(f"lr must be a finite number of at least 0, got {self.lr}")
+        if not math.isfinite(self.margin):
+            raise ConfigError(f"margin must be a finite number, got {self.margin}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:

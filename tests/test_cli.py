@@ -1,13 +1,18 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FULL_ADDER, flat_xor
+import ipsim
+from conftest import CORPUS_ROOT, FULL_ADDER, flat_xor
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
-from ipsim.model import ModelParams
+from ipsim.model import Hyper, ModelParams, init_params
 from ipsim.train import load_checkpoint, save_checkpoint
 from test_train import MALFORMED_HEADERS, doctor_header
 
@@ -322,6 +327,8 @@ def test_manifest_refs_resolve_against_manifest_dir(corpus, checkpoint, tmp_path
     ("--hidden", "0", "hidden_dim"),
     ("--delta", "2", "delta"),
     ("--lr", "nan", "lr"),
+    ("--margin", "nan", "margin"),
+    ("--margin", "inf", "margin"),
 ])
 def test_train_bad_settings_are_input_errors(corpus, tmp_path, capsys, flag, value, message):
     code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.ckpt"),
@@ -471,3 +478,23 @@ def test_eval_sources_agree(corpus, tmp_path, capsys):
     assert len(reports[0]) == 3 and reports[0] == reports[1]
     assert len(scores[0]) == len(scores[1])
     assert max(abs(x - y) for x, y in zip(*scores)) <= 1e-12
+
+
+def test_compare_of_corpus_designs_does_not_load_scipy(tmp_path):
+    # Two corpus designs pack to fewer than SPARSE_THRESHOLD rows, so to
+    # a dense matrix: the compare needs no scipy, whose import would
+    # outweigh its work.
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(Hyper(), 0), Hyper())
+    designs = [str(CORPUS_ROOT / "adder8" / name) for name in ("behav8.v", "rca8.v")]
+    script = ("import sys\n"
+              "from ipsim.cli import main\n"
+              "code = main(['compare', *sys.argv[1:]])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    src_root = str(Path(ipsim.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, *designs, "--checkpoint", str(ckpt)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{EXIT_OK} False"

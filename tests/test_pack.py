@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import gradcheck
 from conftest import graph_from_edges, random_graph_edges
 from ipsim.detect import cosine_similarity
-from ipsim.encode import encode, pack, take
+from ipsim.encode import SPARSE_THRESHOLD, encode, pack, take
 from ipsim.errors import NonFiniteLoss, ShapeMismatch
 from ipsim.model import (
     Buffers,
@@ -152,19 +152,45 @@ def test_top_k_per_segment_matches_reference():
         [0, 1, 3, 4])
 
 
-def test_take_equals_packing_the_subset():
-    gts = [*random_tensors(8, 4), chain("big", 520)]
+def dense(p) -> np.ndarray:
+    return p if isinstance(p, np.ndarray) else p.toarray()
+
+
+def block_diagonal(gts: list) -> np.ndarray:
+    out = np.zeros((sum(gt.num_nodes for gt in gts),) * 2)
+    first = 0
+    for gt in gts:
+        last = first + gt.num_nodes
+        out[first:last, first:last] = dense(gt.p)
+        first = last
+    return out
+
+
+def test_pack_is_dense_up_to_the_threshold_and_csr_past_it():
+    for extra, sparse in ((0, False), (1, True)):
+        gts = [chain("a", 100), chain("b", SPARSE_THRESHOLD - 100 + extra)]
+        packed = pack(gts)
+        assert packed.num_nodes == SPARSE_THRESHOLD + extra
+        assert packed.is_sparse is sparse and sp.issparse(packed.p) is sparse
+        np.testing.assert_array_equal(dense(packed.p), block_diagonal(gts))
+
+
+@pytest.mark.parametrize("members, which, sparse", [
+    ("small", [1, 3, 0], False),
+    ("big", [1, 3, 4], True),
+    ("big", [2, 0, 3], False),  # a sub-batch of a CSR pack, within the threshold
+], ids=["dense", "csr", "csr-to-dense"])
+def test_take_equals_packing_the_subset(members, which, sparse):
+    gts = random_tensors(8, 4) + ([chain("big", 520)] if members == "big" else [])
     full = pack(gts)
-    which = np.array([1, 3, 4])
-    got = take(full, which)
+    assert full.is_sparse is (members == "big")
+    got = take(full, np.array(which))
     want = pack([gts[i] for i in which])
     np.testing.assert_array_equal(got.offsets, want.offsets)
     np.testing.assert_array_equal(got.x, want.x)
-    assert sp.issparse(got.p)
-    np.testing.assert_array_equal(got.p.toarray(), want.p.toarray())
-    np.testing.assert_array_equal(
-        want.p[want.offsets[0]:want.offsets[1], want.offsets[0]:want.offsets[1]].toarray(),
-        gts[1].p)
+    assert got.is_sparse is want.is_sparse is sparse
+    np.testing.assert_array_equal(dense(got.p), dense(want.p))
+    np.testing.assert_array_equal(dense(got.p), block_diagonal([gts[i] for i in which]))
 
 
 def test_evaluate_scores_match_single_graph_embeddings():

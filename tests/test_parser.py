@@ -189,6 +189,36 @@ def test_escaped_identifier():
     assert mod.ports[0].name == "weird$name"
 
 
+@pytest.mark.parametrize("word", ["wire", "reg", "input", "output", "inout", "parameter",
+                                  "localparam", "assign", "always"])
+def test_escaped_keyword_starts_an_instance(word):
+    # ``\wire`` is an identifier that spells a keyword, so ``\wire w ;``
+    # names an instance of a module ``wire``, which fails for want of
+    # connections as any other instance does.
+    src = "module m(y, a); output y; input a; {} w ; assign y = a; endmodule"
+    with pytest.raises(VerilogSyntaxError) as plain:
+        parse(src.format("sub"), "<test>")
+    with pytest.raises(VerilogSyntaxError) as escaped:
+        parse(src.format("\\" + word), "<test>")
+    assert (escaped.value.expected, escaped.value.got) == (plain.value.expected, plain.value.got)
+    assert plain.value.expected == ("'('",)
+
+
+def test_escaped_keywords_name_ports_signals_and_targets():
+    mod = parse_one("module m(\\input , \\posedge , y);\n"
+                    "  input \\input , \\posedge ; output reg y; reg \\case ;\n"
+                    "  always @(\\posedge or \\input ) \\case = \\input ;\n"
+                    "  always @(*) y = \\case ;\nendmodule")
+    assert [(p.name, p.direction) for p in mod.ports] == [
+        ("input", "input"), ("posedge", "input"), ("y", "output")]
+    first = mod.always_blocks[0]
+    assert first.sensitivity == [n.SensItem(None, "posedge"), n.SensItem(None, "input")]
+    assert first.body[0].lhs == n.Ident(first.body[0].lhs.loc, "case")
+    ansi = parse_one("module m(input a, \\output , output y); assign y = \\output ; endmodule")
+    assert [(p.name, p.direction) for p in ansi.ports] == [
+        ("a", "input"), ("output", "input"), ("y", "output")]
+
+
 ROUND_TRIP_SOURCES = [
     "module m(input a, input b, output y); assign y = (a ^ b) | ~a; endmodule",
     """
