@@ -65,14 +65,18 @@ def adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
         raise EmptyGraph(f"graph {graph.name!r} has no nodes")
     ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.int64, 2 * len(graph.edges))
     src, dst = ends[0::2], ends[1::2]
-    keys = np.sort(np.concatenate((src * count + dst, dst * count + src,
-                                   np.arange(count) * (count + 1))))
-    return np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], count)
+    keys = np.concatenate((src * count + dst, dst * count + src, np.arange(0, count * count, count + 1)))
+    keys.sort()
+    first = np.ones(keys.size, bool)  # the first of each run of equal keys
+    first[1:] = keys[1:] != keys[:-1]
+    return np.divmod(keys[first], count)
 
 
 def _pointers(counts) -> np.ndarray:
     """0, then the running sums of ``counts``."""
-    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    out = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def normalize_adjacency(nonzeros: tuple[np.ndarray, np.ndarray]):
@@ -81,28 +85,28 @@ def normalize_adjacency(nonzeros: tuple[np.ndarray, np.ndarray]):
     rows, cols = nonzeros
     degree = np.bincount(rows)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    return propagation(_pointers(degree), cols, inv_sqrt[rows] * inv_sqrt[cols])
+    return propagation(degree, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
-def propagation(indptr: np.ndarray, cols: np.ndarray, values: np.ndarray):
-    """The square matrix with these row pointers, columns and values:
-    dense up to ``SPARSE_THRESHOLD`` rows, CSR past it."""
-    size = len(indptr) - 1
+def propagation(counts: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The square matrix whose row r holds the next ``counts[r]`` of these
+    columns and values: dense up to ``SPARSE_THRESHOLD`` rows, CSR past it."""
+    size = len(counts)
     if size > SPARSE_THRESHOLD:
         import scipy.sparse as sp  # here alone: loading it outweighs a small design's work
-        return sp.csr_matrix((values, cols, indptr), shape=(size, size))
+        return sp.csr_matrix((values, cols, _pointers(counts)), shape=(size, size))
     p = np.zeros((size, size))
-    p[np.repeat(np.arange(size), np.diff(indptr)), cols] = values
+    p[np.repeat(np.arange(size), counts), cols] = values
     return p
 
 
 def _nonzeros(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row pointers, columns and values of the nonzeros of a
+    """Nonzeros per row, columns and values of the nonzeros of a
     propagation matrix, dense or CSR, in row-major order."""
     if not isinstance(p, np.ndarray):
-        return p.indptr, p.indices, p.data
+        return np.diff(p.indptr), p.indices, p.data
     rows, cols = np.nonzero(p)
-    return _pointers(np.bincount(rows, minlength=len(p))), cols, p[rows, cols]
+    return np.bincount(rows, minlength=len(p)), cols, p[rows, cols]
 
 
 def encode(graph: Graph) -> GraphTensors:
@@ -115,7 +119,7 @@ def pack(tensors: list[GraphTensors]) -> GraphTensors:
     """Block-diagonal batch of the graphs in list order."""
     offsets = _pointers([t.num_nodes for t in tensors])
     parts = [_nonzeros(t.p) for t in tensors]
-    p = propagation(_pointers(np.concatenate([np.diff(indptr) for indptr, _, _ in parts])),
+    p = propagation(np.concatenate([counts for counts, _, _ in parts]),
                     np.concatenate([c + first for (_, c, _), first in zip(parts, offsets)]),
                     np.concatenate([v for _, _, v in parts]))
     return GraphTensors(name="pack", x=np.concatenate([t.x for t in tensors]), p=p,
@@ -132,9 +136,9 @@ def take(packed: GraphTensors, which: np.ndarray) -> GraphTensors:
     offsets = _pointers(sizes)
     shift = np.repeat(starts - offsets[:-1], sizes)
     rows = np.arange(offsets[-1]) + shift
-    indptr, cols, values = _nonzeros(packed.p)
-    first, counts = indptr[rows], np.diff(indptr)[rows]
+    counts, cols, values = _nonzeros(packed.p)
+    first, counts = _pointers(counts)[rows], counts[rows]
     kept = _pointers(counts)
     src = np.arange(kept[-1]) + np.repeat(first - kept[:-1], counts)
-    p = propagation(kept, cols[src] - np.repeat(shift, counts), values[src])
+    p = propagation(counts, cols[src] - np.repeat(shift, counts), values[src])
     return GraphTensors(name=packed.name, x=packed.x[rows], p=p, offsets=offsets)

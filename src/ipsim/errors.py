@@ -6,17 +6,45 @@ Frontend errors carry a source location so the CLI can print
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SourceLocation:
-    path: str
-    line: int
-    col: int
+    """A path, line and column, compared, hashed and printed by those three."""
+
+    __slots__ = ("path", "line", "col")
+
+    def __init__(self, path: str, line: int, col: int):
+        self.path, self.line, self.col = path, line, col
+
+    def __eq__(self, other):
+        if not isinstance(other, SourceLocation):
+            return NotImplemented
+        return (self.path, self.line, self.col) == (other.path, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.line, self.col))
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
+
+    def __repr__(self) -> str:
+        return f"SourceLocation(path={self.path!r}, line={self.line!r}, col={self.col!r})"
+
+
+class TokenLocation(SourceLocation):
+    """The location of token ``index`` of ``tokens`` (a lexer.Lines), found
+    from the token's offset when path, line or col is first read."""
+
+    __slots__ = ("tokens", "index")
+
+    def __init__(self, tokens, index: int):
+        self.tokens, self.index = tokens, index
+
+    def __getattr__(self, name: str):  # called only while a field is unset
+        if name not in SourceLocation.__slots__:
+            raise AttributeError(name)
+        loc = self.tokens.location(self.tokens.token_offset(self.index))
+        self.path, self.line, self.col = loc.path, loc.line, loc.col
+        return getattr(self, name)
 
 
 class IpsimError(Exception):

@@ -152,9 +152,8 @@ def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
         if isinstance(e, n.Ident):
             if e.name in env:
                 return n.Number(e.loc, str(env[e.name]), env[e.name])
-            if e.name in alias:
-                return n.Ident(e.loc, alias[e.name])
-            return n.Ident(e.loc, prefix + e.name)
+            name = alias.get(e.name, prefix + e.name)
+            return e if name == e.name else n.Ident(e.loc, name)
         if isinstance(e, n.Repeat):
             count = const_eval(e.count, env)
             return n.Repeat(e.loc, n.Number(e.loc, str(count), count), tuple(walk(p) for p in e.parts))

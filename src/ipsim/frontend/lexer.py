@@ -31,60 +31,78 @@ GATE_KEYWORDS = frozenset("and nand or nor xor xnor not buf".split())
 
 _RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
 
-# Each match skips blanks, then takes one token into the group named for
-# its kind. An ident may still turn out a keyword; an escaped identifier is
-# an ident without its backslash; "bad" is a character that starts no token.
+# Longest first, so that a match takes "<<<" before "<<" and "<".
+_OPS = """<<< >>> === !== << >> <= >= == != && || ~& ~| ~^ ^~
+    - + * / % & | ^ ~ ! < > = ? : ; , . ( ) [ ] { } @ #""".split()
+
+# Each match skips blanks, then captures one token: an identifier, a real,
+# a based or plain number, an escaped identifier, a system name, an
+# operator, a character that starts no token, or the empty text at the end.
 _TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\f\n]* (?:
-      (?P<real>\d[\d_]*\.\d+)
-    | (?P<number>(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+|\d[\d_]*)
-    | (?P<escaped>\\\S+)
-    | (?P<system>\$[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~&|~\||~\^|\^~
-         |[-+*/%&|^~!<>=?:;,.()\[\]{}@\#])
-    | (?P<bad>.)
-    | (?P<eof>\Z) )
-    """,
-    re.VERBOSE,
+    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
+    r"|\d[\d_]*|\\\S+|\$[A-Za-z_][A-Za-z0-9_$]*|"
+    + "".join(re.escape(op) + "|" for op in _OPS if len(op) > 1)
+    + "[" + re.escape("".join(op for op in _OPS if len(op) == 1)) + r"]|.|\Z)"
 )
+# A token's kind by its whole text, else by its first character.
+_KIND_BY_TEXT = {**dict.fromkeys(_OPS, "op"), **dict.fromkeys(_RESERVED, "keyword"),
+                 **dict.fromkeys("\\$'", "bad"), "": "eof"}
+_KIND_BY_FIRST = {**dict.fromkeys("0123456789'", "number"), "$": "system", "\\": "escaped",
+                  **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
+
+
+def scan(text: str, path: str = "<text>") -> tuple[list[str], list[str]]:
+    """Kind (keyword, ident, number, op, system, real or eof) and text of
+    each token, as two lists that end with eof. An escaped identifier's
+    text drops its backslash."""
+    texts = _TOKEN_RE.findall(text)
+    if texts[-2:] == ["", ""]:
+        texts.pop()  # blanks at the end: eof after them, then an empty match
+    kinds = [_KIND_BY_TEXT.get(t) or _KIND_BY_FIRST.get(t[0], "bad") for t in texts]
+    if "\\" in text or "." in text:  # an escaped identifier or a real may be here
+        for i, kind in enumerate(kinds):
+            if kind == "escaped":
+                kinds[i], texts[i] = "ident", texts[i][1:]
+            elif kind == "number" and "." in texts[i]:
+                kinds[i] = "real"
+    if "bad" in kinds:
+        bad = kinds.index("bad")
+        raise VerilogSyntaxError(Lines(text, path).location(offsets(text)[bad]), ("a token",), texts[bad])
+    return kinds, texts
+
+
+def offsets(text: str) -> list[int]:
+    """Offset of each token that scan finds in text, eof at len(text)."""
+    found = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    if found[-2:] == [len(text)] * 2:
+        found.pop()
+    return found
 
 
 def tokenize(text: str, path: str = "<text>") -> tuple[list[str], list[str], list[int]]:
-    """Kind (keyword, ident, number, op, system, real or eof), text and
-    offset of each token, as three lists that end with eof at len(text)."""
-    kinds, texts, offsets = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        offsets.append(m.start(kind))
-        word = m[kind]
-        if kind == "ident" and word in _RESERVED:
-            kind = "keyword"
-        elif kind == "escaped":
-            kind, word = "ident", word[1:]
-        kinds.append(kind)
-        texts.append(word)
-        if kind == "eof":  # an empty match at the end follows one after blanks
-            break
-    if "bad" in kinds:
-        bad = kinds.index("bad")
-        raise VerilogSyntaxError(Lines(text, path).location(offsets[bad]), ("a token",), texts[bad])
-    return kinds, texts, offsets
+    """scan's kinds and texts, and the tokens' offsets."""
+    return *scan(text, path), offsets(text)
 
 
 class Lines:
-    """Offsets in one text to locations, by line starts found on first use."""
+    """Locations in one text: of an offset, by line starts found on first
+    use, and of a token, by its offset from a second pass on first use."""
 
     def __init__(self, text: str, path: str):
         self.text, self.path = text, path
         self.starts: list[int] | None = None
+        self.offsets: list[int] | None = None
 
     def location(self, offset: int) -> SourceLocation:
         if self.starts is None:
             self.starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
         line = bisect.bisect_right(self.starts, offset)
         return SourceLocation(self.path, line, offset - self.starts[line - 1] + 1)
+
+    def token_offset(self, index: int) -> int:
+        if self.offsets is None:
+            self.offsets = offsets(self.text)
+        return self.offsets[index]
 
 
 def parse_number(text: str) -> int | None:

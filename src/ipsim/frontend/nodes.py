@@ -1,12 +1,15 @@
 """Abstract syntax tree for the supported Verilog subset.
 
 Expression nodes are plain dataclasses; every node carries the source
-location of its first token. EXPR_FIELDS says which fields hold
-subexpressions, and the walkers at the end of this module are built on it.
+location of its first token as its loc. The parser's locs are lazy
+(errors.TokenLocation): only a diagnostic that reads one computes it.
+EXPR_FIELDS says which fields hold subexpressions, and the walkers at the
+end of this module are built on it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
@@ -256,21 +259,19 @@ def map_expr(expr: Expr, hook: Callable) -> Expr:
     """Rebuild an expression tree through hook(e, walk), which sees each
     node before its subexpressions. A node it returns replaces e and is
     not descended into (the hook may call walk on the children it wants
-    rewritten); None rebuilds e from its children walked left to right."""
+    rewritten); None rebuilds e from its children walked left to right,
+    or keeps e itself when every child comes back as the same object."""
 
     def walk(e: Expr) -> Expr:
         new = hook(e, walk)
         if new is not None:
             return new
         cls = type(e)
-        kids = EXPR_FIELDS[cls]
-        if not kids:
+        kids = [getattr(e, name) for name in EXPR_FIELDS[cls]]
+        walked = [tuple(map(walk, kid)) if isinstance(kid, tuple) else walk(kid) for kid in kids]
+        if all(w is k or isinstance(w, tuple) and all(map(operator.is_, w, k)) for w, k in zip(walked, kids)):
             return e
-        args = [getattr(e, name) for name in _HEAD_FIELDS[cls]]
-        for name in kids:
-            child = getattr(e, name)
-            args.append(tuple(map(walk, child)) if isinstance(child, tuple) else walk(child))
-        return cls(*args)
+        return cls(*[getattr(e, name) for name in _HEAD_FIELDS[cls]], *walked)
 
     return walk(expr)
 

@@ -7,8 +7,8 @@ the Verilog standard.
 
 from __future__ import annotations
 
-from ipsim.errors import SourceLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
-from ipsim.frontend.lexer import GATE_KEYWORDS, UNSUPPORTED_KEYWORDS, Lines, parse_number, tokenize
+from ipsim.errors import SourceLocation, TokenLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
+from ipsim.frontend.lexer import GATE_KEYWORDS, UNSUPPORTED_KEYWORDS, Lines, parse_number, scan
 from ipsim.frontend import nodes as n
 
 UNARY_OPS = frozenset(["~", "!", "&", "|", "^", "~&", "~|", "~^", "^~", "+", "-"])
@@ -29,7 +29,7 @@ BINARY_PREC = {
 
 class _Parser:
     def __init__(self, source: str, path: str):
-        self.kinds, self.texts, self.offsets = tokenize(source, path)
+        self.kinds, self.texts = scan(source, path)
         self.lines = Lines(source, path)
         self.path = path
         self.pos = 0
@@ -40,8 +40,8 @@ class _Parser:
         self.ports: dict[str, n.Port] = {}
 
     def loc(self) -> SourceLocation:
-        """The current token's location."""
-        return self.lines.location(self.offsets[self.pos])
+        """The current token's location, found only if it is read."""
+        return TokenLocation(self.lines, self.pos)
 
     def advance(self) -> str:
         """Step past the current token, unless it is eof; return its text."""
@@ -85,12 +85,15 @@ class _Parser:
     def parse_list(self, parse_item) -> list:
         """One or more ``parse_item()`` results, separated by commas."""
         items = [parse_item()]
-        while self.accept(","):
+        while self.text == "," and self.kind == "op":
+            self.advance()
             items.append(parse_item())
         return items
 
     def error(self, *expected: str):
         got = self.text if self.kind != "eof" else "end of input"
+        if self.kind == "ident" and self.lines.text[self.lines.token_offset(self.pos)] == "\\":
+            got = "\\" + got  # an escaped identifier, which may spell an operator
         raise VerilogSyntaxError(self.loc(), expected, got)
 
     def unsupported(self, construct: str, loc: SourceLocation | None = None):
@@ -426,7 +429,8 @@ class _Parser:
 
     def parse_expr(self) -> n.Expr:
         left = self.parse_binary(0)
-        if self.accept("?"):
+        if self.text == "?" and self.kind == "op":
+            self.advance()
             true = self.parse_expr()
             self.expect(":")
             false = self.parse_expr()
@@ -436,6 +440,8 @@ class _Parser:
     def parse_binary(self, min_prec: int) -> n.Expr:
         left = self.parse_unary()
         while self.kind == "op" and BINARY_PREC.get(self.text, -1) >= min_prec:
+            if self.text in ("+", "-") and self.texts[self.pos + 1] == ":" and self.kinds[self.pos + 1] == "op":
+                break  # an indexed part select, which parse_postfix rejects
             op = self.advance()
             if op in ("===", "!=="):
                 op = "==" if op == "===" else "!="  # four-state equality collapses
@@ -453,6 +459,13 @@ class _Parser:
 
     def parse_primary(self) -> n.Expr:
         kind, text, loc = self.kind, self.text, self.loc()
+        if kind == "ident":
+            self.advance()
+            if self.kind != "op" or self.text not in "[.(":  # a select, or what is rejected next
+                return n.Ident(loc, text)
+            if self.text != "[":
+                self.unsupported("hierarchical reference" if self.text == "." else "function call", loc)
+            return self.parse_postfix(n.Ident(loc, text))
         if kind == "number":
             self.advance()
             return n.Number(loc, text, parse_number(text))
@@ -460,13 +473,6 @@ class _Parser:
             self.unsupported("real literal")
         if kind == "system":
             self.unsupported(f"system function {text}")
-        if kind == "ident":
-            self.advance()
-            if self.check("."):
-                self.unsupported("hierarchical reference", loc)
-            if self.check("("):
-                self.unsupported("function call", loc)
-            return self.parse_postfix(n.Ident(loc, text))
         if self.accept("("):
             expr = self.parse_expr()
             self.expect(")")
@@ -483,7 +489,7 @@ class _Parser:
                 second = self.parse_expr()
                 self.expect("]")
                 base = n.PartSelect(loc, base, first, second)
-            elif self.text in ("+", "-") and self.texts[self.pos + 1] == ":":
+            elif self.kind == "op" and self.text in ("+", "-"):
                 self.unsupported("indexed part select", loc)
             else:
                 self.expect("]")

@@ -143,8 +143,10 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
                   offsets: np.ndarray | None = None) -> np.ndarray:
     """Indices of the ceil(ratio*n) largest scores of each segment of n
     rows; ties favor the lower node id; result sorted ascending."""
-    bounds = _bounds(offsets, alpha.shape[0])
-    sizes = np.diff(bounds)
+    if offsets is None:  # one segment: its first keep rows by score
+        keep = min(max(math.ceil(ratio * alpha.shape[0]), 1), alpha.shape[0])
+        return np.sort(np.argsort(-alpha, kind="stable")[:keep])
+    sizes = np.diff(offsets)
     keep = np.minimum(np.maximum(np.ceil(ratio * sizes).astype(np.int64), 1), sizes)
     # Segment ids in the smallest integer type, which numpy sorts stably
     # by radix.
@@ -156,7 +158,7 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
     order = by_score[np.argsort(segment[by_score], kind="stable")]
     # ``order`` keeps every segment on its own rows, so a row's rank in
     # its segment is its distance from the segment's first row.
-    return np.sort(order[position - bounds[segment] < keep[segment]])
+    return np.sort(order[position - offsets[segment] < keep[segment]])
 
 
 def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float,

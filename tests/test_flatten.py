@@ -177,3 +177,28 @@ def test_output_port_direction_map():
     mod = flat("module m(input a, inout b, output c); assign c = a; endmodule")
     dirs = mod.port_directions()
     assert dirs == {"a": "input", "b": "inout", "c": "output"}
+
+
+def test_parameterless_top_shares_its_expressions():
+    ast = parse("""
+module sub(input a, output y); assign y = ~a; endmodule
+module m(input [3:0] a, input b, output [1:0] y, output reg z, output w, output v, output [1:0] s);
+  assign y = {a[1] & b, a[2] == 1'b1};
+  and g(w, a[0], b);
+  sub u(.a(b), .y(v));
+  always @(*) if (b) z = a[2] ^ b; else z = |a;
+  assign s = ~a[3:2];
+endmodule
+""", "<test>")
+    mod = ast.module("m")
+    fm = flatten_hierarchy(ast)
+    assert fm.assigns[0].lhs is mod.assigns[0].lhs and fm.assigns[0].rhs is mod.assigns[0].rhs
+    # A part select's bounds are rebuilt as numbers, so its ancestors are new.
+    assert fm.assigns[1].lhs is mod.assigns[1].lhs and fm.assigns[1].rhs is not mod.assigns[1].rhs
+    # The gate's terminals are the top's own nodes; the instance's are renamed.
+    assert fm.assigns[2].rhs.left is mod.gates[0].terminals[1]
+    assert [a.lhs.name for a in fm.assigns[3:]] == ["v"]
+    stmt, top_stmt = fm.always_blocks[0].body[0], mod.always_blocks[0].body[0]
+    assert stmt.cond is top_stmt.cond
+    assert stmt.then_body[0].rhs is top_stmt.then_body[0].rhs
+    assert stmt.else_body[0].rhs is top_stmt.else_body[0].rhs

@@ -62,3 +62,14 @@ def test_map_stmts_maps_case_items_before_subject():
     assert seen == ["a", "y", "b", "0", "1", "y", "c", "y", "a", "s"]
     assert [emit_expr(e) for e in n.stmt_exprs(body)] == [
         "a", "y", "b", "s", "0", "1", "y", "c", "y", "a"]
+
+
+def test_map_expr_keeps_what_its_hook_leaves_alone():
+    expr = rhs("{2{a[3:0]}} ^ (b ? c[1] : -d) + {e, 4'd3}")
+    assert n.map_expr(expr, lambda e, walk: None) is expr
+    renamed = n.map_expr(expr, lambda e, walk: n.Ident(e.loc, "z") if label(e) == "d" else None)
+    assert renamed is not expr and renamed.left is expr.left
+    assert [label(e) for e in n.iter_expr(renamed)].count("z") == 1
+    ternary, new_ternary = expr.right.left, renamed.right.left
+    assert new_ternary.cond is ternary.cond and new_ternary.true is ternary.true
+    assert new_ternary.false is not ternary.false and renamed.right.right is expr.right.right

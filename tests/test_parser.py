@@ -262,3 +262,22 @@ def test_number_round_trip(value, width):
     assert mod.assigns[0].rhs.value == value
     again = parse(emit(parse(src, "<t>")), "<t2>").modules[0]
     assert again.assigns[0].rhs.value == value
+
+
+@pytest.mark.parametrize("index", ["i", "i * 2", "(i)"])
+@pytest.mark.parametrize("op", ["+:", "-:"])
+def test_indexed_part_select_is_unsupported(index, op):
+    src = ("module m(y, a, i); output [3:0] y; input [7:0] a; input [2:0] i;"
+           f" assign y = a[{index} {op} 4]; endmodule")
+    with pytest.raises(UnsupportedConstruct, match="indexed part select"):
+        parse(src, "<test>")
+
+
+def test_syntax_error_shows_an_escaped_identifier_with_its_backslash():
+    with pytest.raises(VerilogSyntaxError) as err:
+        parse("module m(y, a, b); output y; input a, b; assign y = b \\+ a; endmodule", "<test>")
+    assert err.value.got == "\\+"
+    assert str(err.value) == r"<test>:1:55: expected ';', got '\\+'"
+    with pytest.raises(VerilogSyntaxError) as plain:
+        parse("module m(y, a, b); output y; input a, b; assign y = b c a; endmodule", "<test>")
+    assert plain.value.got == "c"
