@@ -129,14 +129,13 @@ def read_manifest(path: str | Path) -> list[DesignEntry]:
     return entries
 
 
-def load_graphs(entries: list[DesignEntry], trimmed: bool = True,
-                on_skip=None) -> dict[str, Graph]:
+def load_graphs(entries: list[DesignEntry], on_skip=None) -> dict[str, Graph]:
     """Compile every entry to a graph, in order. Out-of-subset designs are
     skipped through on_skip(entry, error) when given, otherwise they raise."""
     graphs: dict[str, Graph] = {}
     for entry in entries:
         try:
-            graphs[entry.name] = compile_design([entry.path], trimmed=trimmed)
+            graphs[entry.name] = compile_design([entry.path])
         except PipelineError as exc:
             if on_skip is not None and isinstance(exc.cause, UnsupportedConstruct):
                 on_skip(entry, exc)

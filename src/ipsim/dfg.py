@@ -6,8 +6,9 @@ constants. Procedural blocks are walked symbolically: conditional
 updates become Branch nodes and an unassigned path holds the signal's
 own previous value, which is what turns registers into cycles.
 
-Node kinds come from a fixed vocabulary so that feature encodings stay
-aligned across designs and checkpoint versions.
+Node kinds come from a fixed vocabulary, NODE_KINDS, so that feature
+encodings stay aligned across designs and checkpoint versions; an
+operator's kind comes from the operator table in ipsim.frontend.nodes.
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ NODE_KINDS = (
     "Cond", "Unknown",
 )
 KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
-
-UNARY_KIND = {"~": "Not", "!": "LNot", "&": "RedAnd", "|": "RedOr",
-              "^": "RedXor", "-": "Minus"}
-UNARY_INVERTED = {"~&": "RedAnd", "~|": "RedOr", "~^": "RedXor", "^~": "RedXor"}
-BINARY_KIND = {
-    "&": "And", "|": "Or", "^": "Xor", "~^": "Xnor", "^~": "Xnor",
-    "+": "Plus", "-": "Minus", "*": "Times", "/": "Divide", "%": "Mod",
-    "<<": "ShiftL", "<<<": "ShiftL", ">>": "ShiftR", ">>>": "ShiftR",
-    "==": "Eq", "!=": "Neq", "<": "Lt", ">": "Gt", "<=": "Le", ">=": "Ge",
-    "&&": "LAnd", "||": "LOr",
-}
 
 
 @dataclass(frozen=True)
@@ -146,8 +136,7 @@ class _DriverTable:
     Concat node ordered most significant first.
     """
 
-    def __init__(self, flat: FlatModule):
-        self.flat = flat
+    def __init__(self):
         self.full: dict[str, object] = {}
         self.slices: dict[str, list[tuple[int, int, object]]] = {}
 
@@ -179,7 +168,7 @@ class _Builder:
     def __init__(self, flat: FlatModule):
         self.flat = flat
         self.dirs = flat.port_directions()
-        self.table = _DriverTable(flat)
+        self.table = _DriverTable()
         self.kinds: list[str] = []
         self.labels: list[str] = []
         self.edges: set[tuple[int, int]] = set()
@@ -313,12 +302,11 @@ class _Builder:
         if isinstance(expr, n.Number):
             return _Sym("Constant", _const_label(expr), ())
         if isinstance(expr, n.Unary):
-            inner = self._conv(expr.operand, env)
-            if expr.op in UNARY_INVERTED:
-                return _Sym("Not", "", (_Sym(UNARY_INVERTED[expr.op], "", (inner,)),))
-            return _Sym(UNARY_KIND[expr.op], "", (inner,))
+            op = n.UNARY[expr.op]
+            sym = _Sym(op.kind, "", (self._conv(expr.operand, env),))
+            return _Sym("Not", "", (sym,)) if op.inverted else sym
         if isinstance(expr, n.Binary):
-            return _Sym(BINARY_KIND[expr.op], "",
+            return _Sym(n.BINARY[expr.op].kind, "",
                         (self._conv(expr.left, env), self._conv(expr.right, env)))
         if isinstance(expr, n.Ternary):
             return _Sym("Cond", "", (self._conv(expr.cond, env),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 
 from ipsim.frontend import nodes as n
-from ipsim.frontend.parser import BINARY_PREC
 
 _SIMPLE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
 
@@ -34,7 +33,7 @@ def emit_expr(expr: n.Expr, parent_prec: int = 0) -> str:
             inner = f"({inner})"
         return f"{expr.op}{inner}"
     if isinstance(expr, n.Binary):
-        prec = BINARY_PREC[expr.op]
+        prec = n.BINARY[expr.op].prec
         text = f"{emit_expr(expr.left, prec)} {expr.op} {emit_expr(expr.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(expr, n.Ternary):
@@ -123,15 +122,11 @@ def emit_module(mod: n.ModuleDecl) -> str:
         if p.local:
             lines.append(f"  localparam {_ident(p.name)} = {emit_expr(p.value)};")
 
-    emitted_assigns = set()
     for kind, idx in mod.item_order:
         if kind == "net":
             net = mod.nets[idx]
             lines.append(f"  {net.kind} {_emit_range(net.width)}{_ident(net.name)};")
         elif kind == "assign":
-            if idx in emitted_assigns:
-                continue
-            emitted_assigns.add(idx)
             a = mod.assigns[idx]
             lines.append(f"  assign {emit_expr(a.lhs)} = {emit_expr(a.rhs)};")
         elif kind == "always":

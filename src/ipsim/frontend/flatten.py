@@ -2,10 +2,10 @@
 
 Inlines every instance into a single flat module. Signals from an
 instance subtree get dot-joined path prefixes (u1.u2.sig), parameters
-are resolved to integer constants, and primitive gate instances are
-lowered to equivalent continuous assignments. Port connections to
-simple identifiers become pure renames; compound connections become
-glue assignments.
+are folded to integer constants and primitive gate instances are lowered
+to continuous assignments, both through the operator table in nodes.
+Port connections to simple identifiers become pure renames; compound
+connections become glue assignments.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ from ipsim.errors import (
     UnresolvedIdentifier,
 )
 from ipsim.frontend import nodes as n
-
-GATE_FOLD_OP = {
-    "and": "&", "nand": "&",
-    "or": "|", "nor": "|",
-    "xor": "^", "xnor": "^",
-}
-GATE_INVERTS = frozenset(["nand", "nor", "xnor", "not"])
-
 
 @dataclass
 class FlatPort:
@@ -62,67 +54,22 @@ def const_eval(expr: n.Expr, env: dict[str, int]) -> int:
         return env[expr.name]
     if isinstance(expr, n.Unary):
         v = const_eval(expr.operand, env)
-        if expr.op == "-":
-            return -v
-        if expr.op == "~":
-            return ~v
-        if expr.op == "!":
-            return int(v == 0)
-        raise ElaborationError(f"{expr.loc}: reduction operator in constant expression")
+        fold = n.UNARY[expr.op].fold
+        if fold is None:
+            raise ElaborationError(f"{expr.loc}: reduction operator in constant expression")
+        return fold(v)
     if isinstance(expr, n.Binary):
         a = const_eval(expr.left, env)
         b = const_eval(expr.right, env)
         try:
-            return _const_binop(expr.op, a, b)
+            return n.BINARY[expr.op].fold(a, b)
         except ZeroDivisionError:
             raise ElaborationError(f"{expr.loc}: division by zero in constant expression")
+        except ValueError:
+            raise ElaborationError(f"{expr.loc}: negative shift count in constant expression")
     if isinstance(expr, n.Ternary):
         return const_eval(expr.true, env) if const_eval(expr.cond, env) else const_eval(expr.false, env)
     raise ElaborationError(f"{expr.loc}: unsupported constant expression form")
-
-
-def _const_binop(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    if op == "%":
-        r = abs(a) % abs(b)
-        return -r if a < 0 else r
-    if op in ("<<", "<<<"):
-        return a << b
-    if op in (">>", ">>>"):
-        return a >> b
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op in ("^",):
-        return a ^ b
-    if op in ("~^", "^~"):
-        return ~(a ^ b)
-    if op == "&&":
-        return int(bool(a) and bool(b))
-    if op == "||":
-        return int(bool(a) or bool(b))
-    raise ElaborationError(f"operator {op!r} not valid in constant expressions")
 
 
 def _eval_params(mod: n.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
@@ -209,23 +156,20 @@ class _Flattener:
     def _lower_gate(self, gate: n.GateInstance, sub):
         loc = gate.loc
         terms = [sub(t) for t in gate.terminals]
-        if gate.gate in ("not", "buf"):
-            if len(terms) < 2:
-                raise ElaborationError(f"{loc}: {gate.gate} gate needs at least 2 terminals")
-            src = terms[-1]
-            for out in terms[:-1]:
-                rhs = n.Unary(loc, "~", src) if gate.gate == "not" else src
-                self.flat.assigns.append(n.ContinuousAssign(out, rhs, loc))
-            return
-        if len(terms) < 3:
-            raise ElaborationError(f"{loc}: {gate.gate} gate needs at least 3 terminals")
-        op = GATE_FOLD_OP[gate.gate]
-        rhs = terms[1]
-        for t in terms[2:]:
-            rhs = n.Binary(loc, op, rhs, t)
-        if gate.gate in GATE_INVERTS:
-            rhs = n.Unary(loc, "~", rhs)
-        self.flat.assigns.append(n.ContinuousAssign(terms[0], rhs, loc))
+        op, inverts = n.GATES[gate.gate]
+        need = 2 if op is None else 3
+        if len(terms) < need:
+            raise ElaborationError(f"{loc}: {gate.gate} gate needs at least {need} terminals")
+        if op is None:  # not and buf drive every other terminal from the last
+            outs, rhs = terms[:-1], terms[-1]
+        else:
+            outs, rhs = terms[:1], terms[1]
+            for t in terms[2:]:
+                rhs = n.Binary(loc, op, rhs, t)
+        if inverts:
+            rhs = n.Unary(loc, n.INVERT, rhs)
+        for out in outs:
+            self.flat.assigns.append(n.ContinuousAssign(out, rhs, loc))
 
     def _inline_instance(self, inst: n.Instance, prefix: str, sub, stack: list[str]):
         child = self.ast.module(inst.module_name)

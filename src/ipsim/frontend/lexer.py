@@ -6,12 +6,10 @@ import bisect
 import re
 
 from ipsim.errors import SourceLocation, VerilogSyntaxError
+from ipsim.frontend.nodes import BINARY, FOUR_STATE, GATES, UNARY
 
-KEYWORDS = frozenset(
-    """module endmodule input output inout wire reg parameter localparam assign
-    always begin end if else case casex casez endcase default posedge negedge
-    and nand or nor xor xnor not buf""".split()
-)
+KEYWORDS = frozenset("""module endmodule input output inout wire reg parameter localparam assign
+    always begin end if else case casex casez endcase default posedge negedge""".split()).union(GATES)
 
 # Reserved words we recognize only to reject with a precise diagnostic.
 UNSUPPORTED_KEYWORDS = frozenset(
@@ -27,13 +25,11 @@ UNSUPPORTED_KEYWORDS = frozenset(
     pulsestyle_onevent pulsestyle_ondetect showcancelled use""".split()
 )
 
-GATE_KEYWORDS = frozenset("and nand or nor xor xnor not buf".split())
-
 _RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
 
-# Longest first, so that a match takes "<<<" before "<<" and "<".
-_OPS = """<<< >>> === !== << >> <= >= == != && || ~& ~| ~^ ^~
-    - + * / % & | ^ ~ ! < > = ? : ; , . ( ) [ ] { } @ #""".split()
+# The operator table's spellings and the lexer's own punctuation, longest
+# first, so that a match takes "<<<" before "<<" and "<".
+_OPS = sorted({*BINARY, *FOUR_STATE, *UNARY, *"=?:;,.()[]{}@#"}, key=lambda op: (-len(op), op))
 
 # Each match skips blanks, then captures one token: an identifier, a real,
 # a based or plain number, an escaped identifier, a system name, an

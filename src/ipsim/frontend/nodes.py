@@ -1,4 +1,7 @@
-"""Abstract syntax tree for the supported Verilog subset.
+"""Abstract syntax tree and operator table for the supported Verilog subset.
+
+BINARY, FOUR_STATE, UNARY and GATES define the subset's operators and gate
+primitives once, for every module that reads, folds or lowers them.
 
 Expression nodes are plain dataclasses; every node carries the source
 location of its first token as its loc. The parser's locs are lazy
@@ -14,6 +17,71 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 from ipsim.errors import SourceLocation
+
+
+@dataclass(frozen=True)
+class BinaryOp:
+    prec: int                         # a higher number binds tighter
+    kind: str                         # DFG node kind
+    fold: Callable[[int, int], int]   # value on constant operands
+    commutes: bool = False
+
+
+@dataclass(frozen=True)
+class UnaryOp:
+    kind: str | None                  # DFG node kind; None for +, which the parser drops
+    fold: Callable[[int], int] | None  # value on a constant operand; None for a reduction
+    inverted: bool = False            # a Not node wraps the kind's node
+
+
+def _divide(a: int, b: int) -> int:
+    q = abs(a) // abs(b)  # truncates toward zero
+    return -q if (a < 0) != (b < 0) else q
+
+
+BINARY = {
+    "*": BinaryOp(11, "Times", operator.mul, True),
+    "/": BinaryOp(11, "Divide", _divide),
+    "%": BinaryOp(11, "Mod", lambda a, b: a - b * _divide(a, b)),
+    "+": BinaryOp(10, "Plus", operator.add, True),
+    "-": BinaryOp(10, "Minus", operator.sub),
+    "<<": BinaryOp(9, "ShiftL", operator.lshift),
+    ">>": BinaryOp(9, "ShiftR", operator.rshift),
+    "<": BinaryOp(8, "Lt", lambda a, b: int(a < b)),
+    "<=": BinaryOp(8, "Le", lambda a, b: int(a <= b)),
+    ">": BinaryOp(8, "Gt", lambda a, b: int(a > b)),
+    ">=": BinaryOp(8, "Ge", lambda a, b: int(a >= b)),
+    "==": BinaryOp(7, "Eq", lambda a, b: int(a == b), True),
+    "!=": BinaryOp(7, "Neq", lambda a, b: int(a != b), True),
+    "&": BinaryOp(6, "And", operator.and_, True),
+    "^": BinaryOp(5, "Xor", operator.xor, True),
+    "^~": BinaryOp(5, "Xnor", lambda a, b: ~(a ^ b), True),
+    "|": BinaryOp(4, "Or", operator.or_, True),
+    "&&": BinaryOp(3, "LAnd", lambda a, b: int(bool(a) and bool(b)), True),
+    "||": BinaryOp(2, "LOr", lambda a, b: int(bool(a) or bool(b)), True),
+}
+# Second spellings of the same operators.
+BINARY.update({"<<<": BINARY["<<"], ">>>": BINARY[">>"], "~^": BINARY["^~"]})
+# Four-state equality, which the parser reads as its two-state form.
+FOUR_STATE = {"===": "==", "!==": "!="}
+UNARY = {
+    "~": UnaryOp("Not", operator.invert),
+    "!": UnaryOp("LNot", lambda v: int(v == 0)),
+    "-": UnaryOp("Minus", operator.neg),
+    "+": UnaryOp(None, operator.pos),
+    "&": UnaryOp("RedAnd", None),
+    "|": UnaryOp("RedOr", None),
+    "^": UnaryOp("RedXor", None),
+    "~&": UnaryOp("RedAnd", None, True),
+    "~|": UnaryOp("RedOr", None, True),
+    "~^": UnaryOp("RedXor", None, True),
+}
+UNARY["^~"] = UNARY["~^"]
+# Gate primitives: the operator that folds a gate's inputs (None for not
+# and buf, which have one input), and whether INVERT wraps the result.
+GATES = {"and": ("&", False), "nand": ("&", True), "or": ("|", False), "nor": ("|", True),
+         "xor": ("^", False), "xnor": ("^", True), "not": (None, True), "buf": (None, False)}
+INVERT = "~"
 
 
 @dataclass(frozen=True)

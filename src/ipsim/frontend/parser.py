@@ -8,23 +8,11 @@ the Verilog standard.
 from __future__ import annotations
 
 from ipsim.errors import SourceLocation, TokenLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
-from ipsim.frontend.lexer import GATE_KEYWORDS, UNSUPPORTED_KEYWORDS, Lines, parse_number, scan
+from ipsim.frontend.lexer import UNSUPPORTED_KEYWORDS, Lines, parse_number, scan
 from ipsim.frontend import nodes as n
 
-UNARY_OPS = frozenset(["~", "!", "&", "|", "^", "~&", "~|", "~^", "^~", "+", "-"])
-
-BINARY_PREC = {
-    "*": 11, "/": 11, "%": 11,
-    "+": 10, "-": 10,
-    "<<": 9, ">>": 9, "<<<": 9, ">>>": 9,
-    "<": 8, "<=": 8, ">": 8, ">=": 8,
-    "==": 7, "!=": 7, "===": 7, "!==": 7,
-    "&": 6,
-    "^": 5, "^~": 5, "~^": 5,
-    "|": 4,
-    "&&": 3,
-    "||": 2,
-}
+# Precedence by operator token, a four-state operator at its two-state form's.
+_PREC = {op: n.BINARY[n.FOUR_STATE.get(op, op)].prec for op in [*n.BINARY, *n.FOUR_STATE]}
 
 
 class _Parser:
@@ -197,7 +185,7 @@ class _Parser:
             self.parse_assign(mod)
         elif word == "always":
             self.parse_always(mod)
-        elif word in GATE_KEYWORDS:
+        elif word in n.GATES:
             self.parse_gate(mod)
         elif word in UNSUPPORTED_KEYWORDS:
             self.unsupported(text)
@@ -439,22 +427,20 @@ class _Parser:
 
     def parse_binary(self, min_prec: int) -> n.Expr:
         left = self.parse_unary()
-        while self.kind == "op" and BINARY_PREC.get(self.text, -1) >= min_prec:
+        while self.kind == "op" and (prec := _PREC.get(self.text, -1)) >= min_prec:
             if self.text in ("+", "-") and self.texts[self.pos + 1] == ":" and self.kinds[self.pos + 1] == "op":
                 break  # an indexed part select, which parse_postfix rejects
             op = self.advance()
-            if op in ("===", "!=="):
-                op = "==" if op == "===" else "!="  # four-state equality collapses
-            right = self.parse_binary(BINARY_PREC[op if op in BINARY_PREC else "=="] + 1)
-            left = n.Binary(left.loc, op, left, right)
+            right = self.parse_binary(prec + 1)
+            left = n.Binary(left.loc, n.FOUR_STATE.get(op, op), left, right)
         return left
 
     def parse_unary(self) -> n.Expr:
-        if self.kind == "op" and self.text in UNARY_OPS:
+        if self.kind == "op" and self.text in n.UNARY:
             loc = self.loc()
             op = self.advance()
             operand = self.parse_unary()
-            return operand if op == "+" else n.Unary(loc, op, operand)
+            return operand if n.UNARY[op].kind is None else n.Unary(loc, op, operand)
         return self.parse_primary()
 
     def parse_primary(self) -> n.Expr:
@@ -467,8 +453,12 @@ class _Parser:
                 self.unsupported("hierarchical reference" if self.text == "." else "function call", loc)
             return self.parse_postfix(n.Ident(loc, text))
         if kind == "number":
+            try:
+                value = parse_number(text)
+            except ValueError:
+                self.error("a literal whose digits fit its base")
             self.advance()
-            return n.Number(loc, text, parse_number(text))
+            return n.Number(loc, text, value)
         if kind == "real":
             self.unsupported("real literal")
         if kind == "system":

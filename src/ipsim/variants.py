@@ -19,8 +19,6 @@ from ipsim.frontend.lexer import KEYWORDS, UNSUPPORTED_KEYWORDS
 from ipsim.frontend.parser import parse
 from ipsim.frontend.preprocess import preprocess_text
 
-COMMUTATIVE = frozenset(["&", "|", "^", "~^", "^~", "+", "*", "==", "!=", "&&", "||"])
-
 
 def _loc():
     from ipsim.errors import SourceLocation
@@ -130,7 +128,7 @@ def swap_commutative(mod: n.ModuleDecl, rng: np.random.Generator):
         if isinstance(e, n.Binary):
             left = walk(e.left)
             right = walk(e.right)
-            if e.op in COMMUTATIVE and rng.random() < 0.5:
+            if n.BINARY[e.op].commutes and rng.random() < 0.5:
                 left, right = right, left
             return n.Binary(e.loc, e.op, left, right)
         if isinstance(e, n.Repeat):

@@ -13,6 +13,8 @@ import re
 
 import numpy as np
 
+from ipsim.errors import ElaborationError
+
 
 def normalized_propagation_reference(edges: list[tuple[int, int]], n: int) -> list[list[float]]:
     """D^-1/2 (A + I) D^-1/2 built with explicit loops.
@@ -305,3 +307,49 @@ def strip_comments_reference(text: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def const_binop_reference(op: str, a: int, b: int) -> int:
+    """The elaborator's constant folder as an if-chain, one branch per
+    operator, which the operator table's folds replaced."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        q = abs(a) // abs(b)
+        return -q if (a < 0) != (b < 0) else q
+    if op == "%":
+        r = abs(a) % abs(b)
+        return -r if a < 0 else r
+    if op in ("<<", "<<<"):
+        return a << b
+    if op in (">>", ">>>"):
+        return a >> b
+    if op == "<":
+        return int(a < b)
+    if op == "<=":
+        return int(a <= b)
+    if op == ">":
+        return int(a > b)
+    if op == ">=":
+        return int(a >= b)
+    if op == "==":
+        return int(a == b)
+    if op == "!=":
+        return int(a != b)
+    if op == "&":
+        return a & b
+    if op == "|":
+        return a | b
+    if op in ("^",):
+        return a ^ b
+    if op in ("~^", "^~"):
+        return ~(a ^ b)
+    if op == "&&":
+        return int(bool(a) and bool(b))
+    if op == "||":
+        return int(bool(a) or bool(b))
+    raise ElaborationError(f"operator {op!r} not valid in constant expressions")

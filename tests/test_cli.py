@@ -126,6 +126,27 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decl, col", [
+    ("parameter S = 1 << -1;\n  assign y = a[0];", 17),
+    ("assign y = a[(1 >> -1):0];", 17),
+])
+def test_negative_shift_count_in_constant_is_an_input_error(tmp_path, capsys, decl, col):
+    src = tmp_path / "shift.v"
+    src.write_text(f"module m(input [3:0] a, output [1:0] y);\n  {decl}\nendmodule\n")
+    assert main(["dfg", str(src)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"shift.v:2:{col}: negative shift count in constant expression" in err
+
+
+@pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9"])
+def test_literal_digits_outside_its_base_are_a_syntax_error(tmp_path, capsys, literal):
+    src = tmp_path / "lit.v"
+    src.write_text(f"module m(input [3:0] a, output [3:0] y);\n  assign y = a + {literal};\nendmodule\n")
+    assert main(["dfg", str(src)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"lit.v:2:18: expected a literal whose digits fit its base, got {literal!r}" in err
+
+
 def test_variants_cli(tmp_path, capsys):
     src = tmp_path / "fa.v"
     src.write_text(FULL_ADDER)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -153,6 +154,26 @@ def test_corpus_graph_bytes_are_pinned():
             digest.update(serialize(compile_design([path], trimmed=trimmed)).encode() + b"\n")
     assert len(paths) == 92
     assert digest.hexdigest() == CORPUS_GRAPHS_SHA256
+
+
+# The same over perfbench's netlist_ladder rungs, seeds 0-2, all but the
+# chain, which does not compile yet.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LADDER_GRAPHS_SHA256 = "78a7f00d3dc7c8a6a888e188ede2844f5399a8c6e26d519309eb29acc51f0f4b"
+
+
+def test_ladder_graph_bytes_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ladder, inputs = importlib.import_module("ladder"), importlib.import_module("inputs")
+    digest = hashlib.sha256()
+    rungs = [(shape, size) for shape, size in inputs.RUNGS if shape != "chain"]
+    for seed in range(3):
+        for shape, size in rungs:
+            text = ladder.SHAPES[shape](size, seed).text
+            for trimmed in (True, False):
+                digest.update(serialize(compile_text(text, trimmed=trimmed)).encode() + b"\n")
+    assert len(rungs) == 7
+    assert digest.hexdigest() == LADDER_GRAPHS_SHA256
 
 
 def test_trim_is_idempotent_on_designs():
