@@ -1,8 +1,8 @@
 """Verilog source emission from parsed module trees.
 
 Round trip guarantee: parse(emit(ast)) is structurally equal to ast.
-Body items print in item_order so reordering transforms control the
-emitted layout.
+A module's items are one list in source order, which emit_module prints
+as it stands, so reorder_items's permutation is the emitted layout.
 """
 
 from __future__ import annotations
@@ -122,41 +122,36 @@ def emit_module(mod: n.ModuleDecl) -> str:
         if p.local:
             lines.append(f"  localparam {_ident(p.name)} = {emit_expr(p.value)};")
 
-    for kind, idx in mod.item_order:
-        if kind == "net":
-            net = mod.nets[idx]
-            lines.append(f"  {net.kind} {_emit_range(net.width)}{_ident(net.name)};")
-        elif kind == "assign":
-            a = mod.assigns[idx]
-            lines.append(f"  assign {emit_expr(a.lhs)} = {emit_expr(a.rhs)};")
-        elif kind == "always":
-            blk = mod.always_blocks[idx]
-            if blk.sensitivity is None:
+    for item in mod.items:
+        if isinstance(item, n.NetDecl):
+            lines.append(f"  {item.kind} {_emit_range(item.width)}{_ident(item.name)};")
+        elif isinstance(item, n.ContinuousAssign):
+            lines.append(f"  assign {emit_expr(item.lhs)} = {emit_expr(item.rhs)};")
+        elif isinstance(item, n.AlwaysBlock):
+            if item.sensitivity is None:
                 sens = "*"
             else:
                 sens = "(" + " or ".join(
                     (f"{s.edge} {_ident(s.signal)}" if s.edge else _ident(s.signal))
-                    for s in blk.sensitivity) + ")"
+                    for s in item.sensitivity) + ")"
             lines.append(f"  always @{sens}")
-            lines.extend(_emit_body(blk.body, "    "))
-        elif kind == "instance":
-            inst = mod.instances[idx]
-            text = f"  {_ident(inst.module_name)}"
-            if inst.param_overrides:
+            lines.extend(_emit_body(item.body, "    "))
+        elif isinstance(item, n.Instance):
+            text = f"  {_ident(item.module_name)}"
+            if item.param_overrides:
                 parts = []
-                for name, expr in inst.param_overrides:
+                for name, expr in item.param_overrides:
                     parts.append(emit_expr(expr) if name is None else f".{_ident(name)}({emit_expr(expr)})")
                 text += " #(" + ", ".join(parts) + ")"
             conns = []
-            for name, expr in inst.connections:
+            for name, expr in item.connections:
                 body = "" if expr is None else emit_expr(expr)
                 conns.append(body if name is None else f".{_ident(name)}({body})")
-            lines.append(f"{text} {_ident(inst.instance_name)} ({', '.join(conns)});")
-        elif kind == "gate":
-            gate = mod.gates[idx]
-            name = f" {_ident(gate.instance_name)}" if gate.instance_name else ""
-            terms = ", ".join(emit_expr(t) for t in gate.terminals)
-            lines.append(f"  {gate.gate}{name} ({terms});")
+            lines.append(f"{text} {_ident(item.instance_name)} ({', '.join(conns)});")
+        else:
+            name = f" {_ident(item.instance_name)}" if item.instance_name else ""
+            terms = ", ".join(emit_expr(t) for t in item.terminals)
+            lines.append(f"  {item.gate}{name} ({terms});")
     lines.append("endmodule")
     return "\n".join(lines)
 

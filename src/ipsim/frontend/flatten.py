@@ -67,6 +67,8 @@ def const_eval(expr: n.Expr, env: dict[str, int]) -> int:
             raise ElaborationError(f"{expr.loc}: division by zero in constant expression")
         except ValueError:
             raise ElaborationError(f"{expr.loc}: negative shift count in constant expression")
+        except OverflowError:
+            raise ElaborationError(f"{expr.loc}: constant expression too large")
     if isinstance(expr, n.Ternary):
         return const_eval(expr.true, env) if const_eval(expr.cond, env) else const_eval(expr.false, env)
     raise ElaborationError(f"{expr.loc}: unsupported constant expression form")

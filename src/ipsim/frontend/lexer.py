@@ -102,7 +102,7 @@ class Lines:
 
 
 def parse_number(text: str) -> int | None:
-    """Numeric value of a literal, or None when it contains x/z/? bits."""
+    """A literal's value: None for x/z/? bits, ValueError for a digit outside its base."""
     text = text.replace("_", "")
     if "'" not in text:
         return int(text)
@@ -113,4 +113,6 @@ def parse_number(text: str) -> int | None:
     if any(ch in "xXzZ?" for ch in digits):
         return None
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
+    if not set(digits.lower()) <= set("0123456789abcdef"[:base]):  # int() also takes "0b"
+        raise ValueError(f"digits of {text!r} do not fit base {base}")
     return int(digits, base)

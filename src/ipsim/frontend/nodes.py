@@ -7,14 +7,17 @@ Expression nodes are plain dataclasses; every node carries the source
 location of its first token as its loc. The parser's locs are lazy
 (errors.TokenLocation): only a diagnostic that reads one computes it.
 EXPR_FIELDS says which fields hold subexpressions, and the walkers at the
-end of this module are built on it.
+end of this module are built on it. A module's items (nets, continuous
+assigns, always blocks, instances and gates) form one list in source
+order, which the emitter prints and reorder_items permutes; the per-kind
+attributes are read-only tuple views of it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from ipsim.errors import SourceLocation
 
@@ -39,13 +42,23 @@ def _divide(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+MAX_CONST_BITS = 1 << 16  # the widest value a << or * fold computes
+
+
+def _bounded(width: int, fold: Callable[[int, int], int], a: int, b: int) -> int:
+    """fold(a, b), unless width, a bound on its bit length (0 for 0 << b), is too wide."""
+    if width > MAX_CONST_BITS:
+        raise OverflowError(f"constant wider than {MAX_CONST_BITS} bits")
+    return fold(a, b)
+
+
 BINARY = {
-    "*": BinaryOp(11, "Times", operator.mul, True),
+    "*": BinaryOp(11, "Times", lambda a, b: _bounded(a.bit_length() + b.bit_length(), operator.mul, a, b), True),
     "/": BinaryOp(11, "Divide", _divide),
     "%": BinaryOp(11, "Mod", lambda a, b: a - b * _divide(a, b)),
     "+": BinaryOp(10, "Plus", operator.add, True),
     "-": BinaryOp(10, "Minus", operator.sub),
-    "<<": BinaryOp(9, "ShiftL", operator.lshift),
+    "<<": BinaryOp(9, "ShiftL", lambda a, b: _bounded(a and a.bit_length() + b, operator.lshift, a, b)),
     ">>": BinaryOp(9, "ShiftR", operator.rshift),
     "<": BinaryOp(8, "Lt", lambda a, b: int(a < b)),
     "<=": BinaryOp(8, "Le", lambda a, b: int(a <= b)),
@@ -267,19 +280,27 @@ class GateInstance:
     loc: SourceLocation
 
 
+Item = NetDecl | ContinuousAssign | AlwaysBlock | Instance | GateInstance
+
+
+def _view(kind: type) -> property:
+    """A module's items of one kind, in list order, as a tuple."""
+    return property(lambda self: tuple(filter(kind.__instancecheck__, self.items)))  # isinstance, called from C
+
+
 @dataclass
 class ModuleDecl:
     name: str
     ports: list[Port]
     params: list[ParamDecl]
-    nets: list[NetDecl]
-    assigns: list[ContinuousAssign]
-    always_blocks: list[AlwaysBlock]
-    instances: list[Instance]
-    gates: list[GateInstance]
     loc: SourceLocation
-    # Emission order of concurrent items, as (kind, index) pairs.
-    item_order: list[tuple[str, int]] = field(default_factory=list)
+    items: list[Item]  # in source order, implicit nets last
+
+    nets = _view(NetDecl)
+    assigns = _view(ContinuousAssign)
+    always_blocks = _view(AlwaysBlock)
+    instances = _view(Instance)
+    gates = _view(GateInstance)
 
     def port(self, name: str) -> Port | None:
         for p in self.ports:

@@ -106,8 +106,7 @@ class _Parser:
     def parse_module(self) -> n.ModuleDecl:
         loc = self.expect_at("module")
         name = self.expect_ident()
-        mod = n.ModuleDecl(name=name, ports=[], params=[], nets=[], assigns=[], always_blocks=[],
-                           instances=[], gates=[], loc=loc)
+        mod = n.ModuleDecl(name=name, ports=[], params=[], loc=loc, items=[])
         if self.accept("#"):
             self.parse_param_header(mod)
         header_names: list[str] = []
@@ -222,12 +221,10 @@ class _Parser:
             name, loc = self.expect_named()
             if self.check("["):
                 self.unsupported("memory array declaration", loc)
-            mod.nets.append(n.NetDecl(name, kind, width, loc))
-            mod.item_order.append(("net", len(mod.nets) - 1))
+            mod.items.append(n.NetDecl(name, kind, width, loc))
             if self.accept("="):
                 rhs = self.parse_expr()
-                mod.assigns.append(n.ContinuousAssign(n.Ident(loc, name), rhs, loc))
-                mod.item_order.append(("assign", len(mod.assigns) - 1))
+                mod.items.append(n.ContinuousAssign(n.Ident(loc, name), rhs, loc))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -252,8 +249,7 @@ class _Parser:
             lhs = self.parse_lvalue()
             self.expect("=")
             rhs = self.parse_expr()
-            mod.assigns.append(n.ContinuousAssign(lhs, rhs, lhs.loc))
-            mod.item_order.append(("assign", len(mod.assigns) - 1))
+            mod.items.append(n.ContinuousAssign(lhs, rhs, lhs.loc))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -263,8 +259,7 @@ class _Parser:
         self.expect("@")
         sens = self.parse_sensitivity()
         body = self.parse_stmt()
-        mod.always_blocks.append(n.AlwaysBlock(sens, body, loc))
-        mod.item_order.append(("always", len(mod.always_blocks) - 1))
+        mod.items.append(n.AlwaysBlock(sens, body, loc))
 
     def parse_sensitivity(self) -> list[n.SensItem] | None:
         if self.accept("*"):
@@ -351,8 +346,7 @@ class _Parser:
             loc = self.expect_at("(")
             terms = self.parse_list(self.parse_expr)
             self.expect(")")
-            mod.gates.append(n.GateInstance(gate, inst_name, terms, loc))
-            mod.item_order.append(("gate", len(mod.gates) - 1))
+            mod.items.append(n.GateInstance(gate, inst_name, terms, loc))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -379,8 +373,7 @@ class _Parser:
             self.expect("(")
             conns = self.parse_connections()
             self.expect(")")
-            mod.instances.append(n.Instance(module, instance, overrides, conns, loc))
-            mod.item_order.append(("instance", len(mod.instances) - 1))
+            mod.items.append(n.Instance(module, instance, overrides, conns, loc))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -513,8 +506,7 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
     def implicit(name: str, loc: SourceLocation):
         if name not in declared:
             declared.add(name)
-            mod.nets.append(n.NetDecl(name, "wire", None, loc))
-            mod.item_order.append(("net", len(mod.nets) - 1))
+            mod.items.append(n.NetDecl(name, "wire", None, loc))
 
     for inst in mod.instances:
         for _, expr in inst.connections:

@@ -81,42 +81,37 @@ def rename_signals(mod: n.ModuleDecl, rng: np.random.Generator):
 
 def _apply_rename(mod: n.ModuleDecl, mapping: dict[str, str], inst_map: dict[str, str]):
     rename = _renamer(mapping)
-    for i, net in enumerate(mod.nets):
-        mod.nets[i] = n.NetDecl(mapping.get(net.name, net.name), net.kind,
-                                _map_range(net.width, rename), net.loc)
-    for i, p in enumerate(mod.params):
-        mod.params[i] = n.ParamDecl(mapping.get(p.name, p.name), rename(p.value),
-                                    p.local, p.loc)
+    for net in mod.nets:
+        net.name, net.width = mapping.get(net.name, net.name), _map_range(net.width, rename)
+    for p in mod.params:
+        p.name, p.value = mapping.get(p.name, p.name), rename(p.value)
     for port in mod.ports:
         port.width = _map_range(port.width, rename)
-    for i, a in enumerate(mod.assigns):
-        mod.assigns[i] = n.ContinuousAssign(rename(a.lhs), rename(a.rhs), a.loc)
+    for a in mod.assigns:
+        a.lhs, a.rhs = rename(a.lhs), rename(a.rhs)
     for blk in mod.always_blocks:
         if blk.sensitivity is not None:
             blk.sensitivity = [n.SensItem(s.edge, mapping.get(s.signal, s.signal))
                                for s in blk.sensitivity]
         blk.body = n.map_stmts(blk.body, rename)
-    for i, inst in enumerate(mod.instances):
-        conns = [(name, None if e is None else rename(e)) for name, e in inst.connections]
-        overrides = [(name, rename(e)) for name, e in inst.param_overrides]
-        mod.instances[i] = n.Instance(inst.module_name, inst_map.get(inst.instance_name, inst.instance_name),
-                                      overrides, conns, inst.loc)
-    for i, gate in enumerate(mod.gates):
-        name = inst_map.get(gate.instance_name, gate.instance_name) if gate.instance_name else None
-        mod.gates[i] = n.GateInstance(gate.gate, name,
-                                      [rename(t) for t in gate.terminals], gate.loc)
+    for inst in mod.instances:
+        inst.instance_name = inst_map.get(inst.instance_name, inst.instance_name)
+        inst.connections = [(name, None if e is None else rename(e)) for name, e in inst.connections]
+        inst.param_overrides = [(name, rename(e)) for name, e in inst.param_overrides]
+    for gate in mod.gates:
+        if gate.instance_name:
+            gate.instance_name = inst_map.get(gate.instance_name, gate.instance_name)
+        gate.terminals = [rename(t) for t in gate.terminals]
 
 
 def reorder_items(mod: n.ModuleDecl, rng: np.random.Generator):
-    """Permute concurrent module items and named connection lists."""
-    perm = rng.permutation(len(mod.item_order))
-    mod.item_order = [mod.item_order[i] for i in perm]
-    for i, inst in enumerate(mod.instances):
+    """Permute concurrent module items and named connection lists. The
+    item permutation is drawn first, then each instance's in source order."""
+    perm = rng.permutation(len(mod.items))
+    for inst in mod.instances:
         if inst.connections and all(name is not None for name, _ in inst.connections):
-            cperm = rng.permutation(len(inst.connections))
-            conns = [inst.connections[j] for j in cperm]
-            mod.instances[i] = n.Instance(inst.module_name, inst.instance_name,
-                                          inst.param_overrides, conns, inst.loc)
+            inst.connections = [inst.connections[j] for j in rng.permutation(len(inst.connections))]
+    mod.items = [mod.items[i] for i in perm]
 
 
 def swap_commutative(mod: n.ModuleDecl, rng: np.random.Generator):
@@ -155,8 +150,8 @@ def swap_commutative(mod: n.ModuleDecl, rng: np.random.Generator):
                 out.append(stmt)
         return out
 
-    for i, a in enumerate(mod.assigns):
-        mod.assigns[i] = n.ContinuousAssign(a.lhs, swap(a.rhs), a.loc)
+    for a in mod.assigns:
+        a.rhs = swap(a.rhs)
     for blk in mod.always_blocks:
         blk.body = swap_stmts(blk.body)
 
@@ -176,12 +171,10 @@ def _subexpressions(expr: n.Expr) -> list[n.Expr]:
 def split_assign(mod: n.ModuleDecl, rng: np.random.Generator) -> bool:
     """Route one random subexpression of a continuous assign through a
     fresh wire. Returns False when the module has nothing to split."""
-    candidates = [i for i, a in enumerate(mod.assigns)
-                  if _subexpressions(a.rhs)]
+    candidates = [a for a in mod.assigns if _subexpressions(a.rhs)]
     if not candidates:
         return False
-    pick = candidates[int(rng.integers(0, len(candidates)))]
-    assign = mod.assigns[pick]
+    assign = candidates[int(rng.integers(0, len(candidates)))]
     subs = _subexpressions(assign.rhs)
     target = subs[int(rng.integers(0, len(subs)))]
     taken = _module_names(mod)
@@ -195,12 +188,8 @@ def split_assign(mod: n.ModuleDecl, rng: np.random.Generator) -> bool:
             if net.name == assign.lhs.name:
                 width = net.width
     loc = _loc()
-    mod.nets.append(n.NetDecl(wire, "wire", width, loc))
-    mod.item_order.append(("net", len(mod.nets) - 1))
-    mod.assigns.append(n.ContinuousAssign(n.Ident(loc, wire), target, loc))
-    mod.item_order.append(("assign", len(mod.assigns) - 1))
-    rhs = n.map_expr(assign.rhs, lambda e, walk: n.Ident(loc, wire) if e is target else None)
-    mod.assigns[pick] = n.ContinuousAssign(assign.lhs, rhs, assign.loc)
+    mod.items += [n.NetDecl(wire, "wire", width, loc), n.ContinuousAssign(n.Ident(loc, wire), target, loc)]
+    assign.rhs = n.map_expr(assign.rhs, lambda e, walk: n.Ident(loc, wire) if e is target else None)
     return True
 
 
@@ -215,9 +204,7 @@ def wrap_top(ast: n.Ast, tag: str) -> n.Ast:
     overrides = [(p.name, n.Ident(loc, p.name)) for p in top.params if not p.local]
     conns = [(p.name, n.Ident(loc, p.name)) for p in top.ports]
     inst = n.Instance(top.name, "u_core", overrides, conns, loc)
-    wrapper = n.ModuleDecl(name=name, ports=ports, params=params, nets=[], assigns=[],
-                           always_blocks=[], instances=[inst], gates=[], loc=loc,
-                           item_order=[("instance", 0)])
+    wrapper = n.ModuleDecl(name=name, ports=ports, params=params, loc=loc, items=[inst])
     return n.Ast(ast.modules + [wrapper])
 
 

@@ -4,6 +4,8 @@ import re
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +140,32 @@ def test_negative_shift_count_in_constant_is_an_input_error(tmp_path, capsys, de
     assert f"shift.v:2:{col}: negative shift count in constant expression" in err
 
 
-@pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9"])
+# 3 ** 2**15 has 51,938 bits, so P16 = P15 * P15 is the first product past
+# the 65,536-bit bound; the shift's result would be 100,000,001 bits.
+SQUARINGS = "parameter P0 = 3;" + "".join(f"\n  parameter P{i} = P{i - 1} * P{i - 1};" for i in range(1, 24))
+
+
+@pytest.mark.parametrize("decl, where", [
+    ("parameter S = 1 << 100000000;", "2:17"),
+    (SQUARINGS, "18:19"),
+], ids=["shift", "squarings"])
+def test_constant_too_large_is_an_input_error(tmp_path, capsys, decl, where):
+    src = tmp_path / "big.v"
+    src.write_text(f"module m(input [3:0] a, output [1:0] y);\n  {decl}\n  assign y = a[1:0];\nendmodule\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["dfg", str(src)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert f"big.v:{where}: constant expression too large" in capsys.readouterr().err
+    assert elapsed < 1.0 and peak < 4 << 20
+
+
+@pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9", "4'b0b1", "4'sB0B1"])
 def test_literal_digits_outside_its_base_are_a_syntax_error(tmp_path, capsys, literal):
     src = tmp_path / "lit.v"
     src.write_text(f"module m(input [3:0] a, output [3:0] y);\n  assign y = a + {literal};\nendmodule\n")

@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
-from conftest import FULL_ADDER, flat_xor
+from conftest import CORPUS_ROOT, FULL_ADDER, flat_xor
+from ipsim.dfg import serialize
 from ipsim.errors import (
     DesignTooDeep,
     ElaborationError,
@@ -97,3 +101,37 @@ def test_unit_from_paths_collects_defines(tmp_path):
     graph = compile_design([path], defines={"WIDE": "1"})
     inputs = [node for node in graph.nodes if node.kind == "Input"]
     assert len(inputs) == 1
+
+
+# One SHA-256 over the frontend's outcome on damaged corpus files: for each
+# file, 8 cut points drawn from random.Random(its corpus path), and at each
+# cut the text before it alone and with one fragment inserted there. An
+# outcome is the error's cause class and message, or the compiled graph's
+# digest; any other exception fails the test.
+DIAGNOSTIC_FRAGMENTS = ["\\wire ", "endmodule", "((", "a[i +: 4]", "1 << -1", "4'd3f", "generate",
+                        "#5", "{2{", "`undefined", "assign", ";", "wire w;", "1'bx"]
+CORPUS_DIAGNOSTICS_SHA256 = "5c52c71baef4e43ec792793058525e300a268542fa7259ab6e0c30a8b7ac6373"
+
+
+def test_corpus_diagnostics_are_pinned():
+    def outcome(text: str, path: str) -> str:
+        try:
+            graph = compile_text(text, path=path)
+        except PipelineError as exc:
+            return f"{type(exc.cause).__name__}: {exc}"
+        return hashlib.sha256(serialize(graph).encode()).hexdigest()
+
+    digest = hashlib.sha256()
+    count = 0
+    for path in sorted(CORPUS_ROOT.rglob("*.v")):
+        name = path.relative_to(CORPUS_ROOT).as_posix()
+        text = path.read_text()
+        rng = random.Random(name)
+        for _ in range(8):
+            cut = rng.randrange(len(text) + 1)
+            fragment = rng.choice(DIAGNOSTIC_FRAGMENTS)
+            for damaged in (text[:cut], text[:cut] + fragment + text[cut:]):
+                digest.update(outcome(damaged, name).encode() + b"\n")
+                count += 1
+    assert count == 1472
+    assert digest.hexdigest() == CORPUS_DIAGNOSTICS_SHA256

@@ -3,12 +3,15 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS_ROOT, FULL_ADDER
 from ipsim.dfg import is_isomorphic
+from ipsim.frontend.emit import emit_module
+from ipsim.frontend.parser import parse
 from ipsim.pipeline import compile_text
-from ipsim.variants import make_variant, synthesize_variants
+from ipsim.variants import make_variant, reorder_items, synthesize_variants
 
 COUNTER = """
 module count4(clk, rst, q);
@@ -108,3 +111,50 @@ def test_build_desk_corpus_reproduces_shipped_variants(tmp_path):
     assert sorted(p.relative_to(root) for p in root.rglob("*.v")) == shipped
     for rel in shipped:
         assert (root / rel).read_bytes() == (CORPUS_ROOT / rel).read_bytes(), rel
+
+
+# Every item kind, interleaved; v and x become implicit nets, in the order
+# the instance's connections name them.
+INTERLEAVED = """
+module inv(input a, output y);
+  assign y = ~a;
+endmodule
+
+module top(input p, input q, input clk, output r, output reg s);
+  wire w = p & q;
+  and g0 (v, p, w);
+  inv u0 (.a(v), .y(x));
+  always @(posedge clk) s <= x;
+  assign r = w | x;
+endmodule
+"""
+
+
+def _item_lines(text: str) -> list[str]:
+    """A module's item lines, sorted, with an always block's body joined to
+    its head and named connections sorted."""
+    items: list[str] = []
+    for line in text.splitlines()[1:-1]:
+        if line.startswith("    "):
+            items[-1] += line
+        else:
+            items.append(re.sub(r"\((\..*)\);$", lambda m: "(" + ", ".join(sorted(m[1].split(", "))) + ");", line))
+    return sorted(items)
+
+
+def test_items_emit_in_source_order_and_reorder_permutes_them():
+    top = parse(INTERLEAVED).module("top")
+    text = emit_module(top)
+    assert text.splitlines()[1:-1] == [
+        "  wire w;", "  assign w = p & q;", "  and g0 (v, p, w);", "  inv u0 (.a(v), .y(x));",
+        "  always @(posedge clk)", "    s <= x;", "  assign r = w | x;", "  wire v;", "  wire x;"]
+    assert [net.name for net in top.nets] == ["w", "v", "x"] and isinstance(top.nets, tuple)
+    orders, connections = set(), set()
+    for seed in range(8):
+        mod = parse(INTERLEAVED).module("top")
+        reorder_items(mod, np.random.default_rng(seed))
+        shuffled = emit_module(mod)
+        assert _item_lines(shuffled) == _item_lines(text)
+        orders.add(tuple(map(type, mod.items)))
+        connections.add(tuple(mod.instances[0].connections))
+    assert len(orders) > 1 and len(connections) == 2
