@@ -43,7 +43,16 @@ class FlatModule:
 
 
 def const_eval(expr: n.Expr, env: dict[str, int]) -> int:
-    """Evaluate a constant expression over integer parameters."""
+    """Evaluate a constant expression over integer parameters. Each value
+    it computes, a subexpression's included, is at most n.MAX_CONST_BITS
+    wide, or the error is "constant expression too large"."""
+    value = _fold(expr, env)
+    if value.bit_length() > n.MAX_CONST_BITS:
+        raise ElaborationError(f"{expr.loc}: constant expression too large")
+    return value
+
+
+def _fold(expr: n.Expr, env: dict[str, int]) -> int:
     if isinstance(expr, n.Number):
         if expr.value is None:
             raise ElaborationError(f"x/z digits in constant expression at {expr.loc}")

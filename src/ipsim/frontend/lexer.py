@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import bisect
+import math
 import re
 
 from ipsim.errors import SourceLocation, VerilogSyntaxError
-from ipsim.frontend.nodes import BINARY, FOUR_STATE, GATES, UNARY
+from ipsim.frontend.nodes import BINARY, FOUR_STATE, GATES, MAX_CONST_BITS, UNARY
 
 KEYWORDS = frozenset("""module endmodule input output inout wire reg parameter localparam assign
     always begin end if else case casex casez endcase default posedge negedge""".split()).union(GATES)
@@ -102,17 +103,26 @@ class Lines:
 
 
 def parse_number(text: str) -> int | None:
-    """A literal's value: None for x/z/? bits, ValueError for a digit outside its base."""
+    """A literal's value: None for x/z/? bits, ValueError for a digit outside
+    its base, OverflowError for a value wider than MAX_CONST_BITS."""
     text = text.replace("_", "")
-    if "'" not in text:
-        return int(text)
-    _, rest = text.split("'", 1)
-    if rest and rest[0] in "sS":
-        rest = rest[1:]
-    base_char, digits = rest[0].lower(), rest[1:]
-    if any(ch in "xXzZ?" for ch in digits):
-        return None
-    base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
-    if not set(digits.lower()) <= set("0123456789abcdef"[:base]):  # int() also takes "0b"
-        raise ValueError(f"digits of {text!r} do not fit base {base}")
-    return int(digits, base)
+    base, digits = 10, text
+    if "'" in text:
+        _, rest = text.split("'", 1)
+        if rest and rest[0] in "sS":
+            rest = rest[1:]
+        base_char, digits = rest[0].lower(), rest[1:]
+        if any(ch in "xXzZ?" for ch in digits):
+            return None
+        base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
+        if not set(digits.lower()) <= set("0123456789abcdef"[:base]):  # int() also takes "0b"
+            raise ValueError(f"digits of {text!r} do not fit base {base}")
+    # A value of d significant digits is at least base ** (d - 1). That is
+    # tested before int(), which refuses decimal text longer than the
+    # process's digit limit, leading zeros included.
+    significant = digits.lstrip("0")
+    if (len(significant) - 1) * math.log2(base) < MAX_CONST_BITS:
+        value = int(significant or digits[:1], base)
+        if value.bit_length() <= MAX_CONST_BITS:
+            return value
+    raise OverflowError(f"literal wider than {MAX_CONST_BITS} bits")

@@ -3,23 +3,24 @@
 BINARY, FOUR_STATE, UNARY and GATES define the subset's operators and gate
 primitives once, for every module that reads, folds or lowers them.
 
-Expression nodes are plain dataclasses; every node carries the source
-location of its first token as its loc. The parser's locs are lazy
-(errors.TokenLocation): only a diagnostic that reads one computes it.
-EXPR_FIELDS says which fields hold subexpressions, and the walkers at the
-end of this module are built on it. A module's items (nets, continuous
-assigns, always blocks, instances and gates) form one list in source
-order, which the emitter prints and reorder_items permutes; the per-kind
-attributes are read-only tuple views of it.
+Each AST type is declared once, with its fields in constructor order:
+ModuleDecl and Ast as classes, the rest on one line each of the table
+after the Node and Expr bases. An expression type also names its kids,
+its last fields, which hold subexpressions; the walkers at the end of
+this module read them. Every expression carries the source location of
+its first token as its loc. The parser's locs are lazy
+(errors.TokenLocation): only a diagnostic that reads one computes it. A
+module's items (nets, continuous assigns, always blocks, instances and
+gates) form one list in source order, which the emitter prints and
+reorder_items permutes; the per-kind attributes are read-only tuple
+views of it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, fields
-
-from ipsim.errors import SourceLocation
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,18 @@ def _divide(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-MAX_CONST_BITS = 1 << 16  # the widest value a << or * fold computes
+# The widest constant value: every literal and every folded constant is
+# checked against it. The elaborator and the DFG print constants as
+# decimal text, and str() refuses an int of more digits than the process
+# limit, which the caller owns and may set as low as 640 digits
+# (sys.int_info.str_digits_check_threshold). 2 ** 2048 has 617.
+MAX_CONST_BITS = 2048
 
 
 def _bounded(width: int, fold: Callable[[int, int], int], a: int, b: int) -> int:
-    """fold(a, b), unless width, a bound on its bit length (0 for 0 << b), is too wide."""
+    """fold(a, b), unless width, a bound on its bit length (0 for 0 << b), is
+    too wide: << and * check before they compute, so that a huge result
+    is never allocated."""
     if width > MAX_CONST_BITS:
         raise OverflowError(f"constant wider than {MAX_CONST_BITS} bits")
     return fold(a, b)
@@ -97,189 +105,98 @@ GATES = {"and": ("&", False), "nand": ("&", True), "or": ("|", False), "nor": ("
 INVERT = "~"
 
 
-@dataclass(frozen=True)
-class Expr:
-    loc: SourceLocation
+class Node:
+    """Base of the AST types. A type's fields are its base's, then the ones
+    it lists in __slots__, in constructor order; fields holds them all.
+    Node gives each type an __init__ that takes them positionally or by
+    keyword, == by type and fields, and a Type(field=value, ...) repr.
+    Nodes other than expressions are mutable and unhashable, since the
+    variant rewrites set their fields."""
+
+    __slots__ = ()
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.fields = cls.fields + cls.__dict__.get("__slots__", ())
+        # One __init__ per type, as dataclasses make theirs (a loop over
+        # fields in a shared __init__ costs twice as much per node). It
+        # stores through the slot descriptors, which an immutable type's
+        # __setattr__ does not see.
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.fields}
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in cls.fields)
+        exec(f"def __init__(self, {', '.join(cls.fields)}):{body}", scope)
+        cls.__init__ = scope["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.fields)})"
 
 
-@dataclass(frozen=True)
-class Ident(Expr):
-    name: str
+class Expr(Node):
+    """An expression: immutable and hashable, so map_expr can share the
+    subtrees it leaves unchanged. kids names the fields that hold a
+    subexpression (an Expr or a tuple of them), in source order; they are
+    a type's last fields, after loc and any operator."""
+
+    __slots__ = ("loc",)
+    kids: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
-class Number(Expr):
-    text: str
-    value: int | None  # None when the literal contains x/z bits
+def _subtype(base: type, name: str, fields: str = "", kids: str = "") -> type:
+    """A type named name whose fields are base's, then fields, then kids."""
+    namespace = {"__slots__": (*fields.split(), *kids.split())}
+    if kids:
+        namespace["kids"] = tuple(kids.split())
+    return type(name, (base,), namespace)
 
 
-@dataclass(frozen=True)
-class Unary(Expr):
-    op: str
-    operand: Expr
+Ident = _subtype(Expr, "Ident", "name")
+Number = _subtype(Expr, "Number", "text value")  # value is None when the literal contains x/z bits
+Unary = _subtype(Expr, "Unary", "op", kids="operand")
+Binary = _subtype(Expr, "Binary", "op", kids="left right")
+Ternary = _subtype(Expr, "Ternary", kids="cond true false")
+Concat = _subtype(Expr, "Concat", kids="parts")  # parts: a tuple of Expr
+Repeat = _subtype(Expr, "Repeat", kids="count parts")
+BitSelect = _subtype(Expr, "BitSelect", kids="base index")
+PartSelect = _subtype(Expr, "PartSelect", kids="base msb lsb")
 
+Range = _subtype(Node, "Range", "msb lsb")  # [msb:lsb] declaration bounds
+Port = _subtype(Node, "Port", "name direction width loc is_reg")  # direction: input | output | inout
+NetDecl = _subtype(Node, "NetDecl", "name kind width loc")  # kind: wire | reg
+ParamDecl = _subtype(Node, "ParamDecl", "name value local loc")
+ContinuousAssign = _subtype(Node, "ContinuousAssign", "lhs rhs loc")
+SensItem = _subtype(Node, "SensItem", "edge signal")  # edge: posedge | negedge | None
 
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Ternary(Expr):
-    cond: Expr
-    true: Expr
-    false: Expr
-
-
-@dataclass(frozen=True)
-class Concat(Expr):
-    parts: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Repeat(Expr):
-    count: Expr
-    parts: tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class BitSelect(Expr):
-    base: Expr
-    index: Expr
-
-
-@dataclass(frozen=True)
-class PartSelect(Expr):
-    base: Expr
-    msb: Expr
-    lsb: Expr
-
-
-# Fields of each expression type that hold a subexpression (an Expr or a
-# tuple of them), in source order. They are the last constructor
-# arguments, after loc and any operator.
-EXPR_FIELDS: dict[type, tuple[str, ...]] = {
-    Ident: (),
-    Number: (),
-    Unary: ("operand",),
-    Binary: ("left", "right"),
-    Ternary: ("cond", "true", "false"),
-    Concat: ("parts",),
-    Repeat: ("count", "parts"),
-    BitSelect: ("base", "index"),
-    PartSelect: ("base", "msb", "lsb"),
-}
-# The leading constructor arguments that map_expr copies unchanged.
-_HEAD_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name not in kids)
-                for cls, kids in EXPR_FIELDS.items()}
-
-
-@dataclass
-class Range:
-    """[msb:lsb] declaration bounds; resolved holds concrete ints after
-    parameter resolution at flatten time."""
-
-    msb: Expr
-    lsb: Expr
-    resolved: tuple[int, int] | None = None
-
-
-@dataclass
-class Port:
-    name: str
-    direction: str  # input | output | inout
-    width: Range | None
-    loc: SourceLocation
-    is_reg: bool = False
-
-
-@dataclass
-class NetDecl:
-    name: str
-    kind: str  # wire | reg
-    width: Range | None
-    loc: SourceLocation
-
-
-@dataclass
-class ParamDecl:
-    name: str
-    value: Expr
-    local: bool
-    loc: SourceLocation
-
-
-@dataclass
-class ContinuousAssign:
-    lhs: Expr
-    rhs: Expr
-    loc: SourceLocation
-
-
-@dataclass
-class SensItem:
-    edge: str | None  # posedge | negedge | None
-    signal: str
-
-
-@dataclass
-class AssignStmt:
-    lhs: Expr
-    rhs: Expr
-    blocking: bool
-    loc: SourceLocation
-
-
-@dataclass
-class IfStmt:
-    cond: Expr
-    then_body: list
-    else_body: list
-    loc: SourceLocation
-
-
-@dataclass
-class CaseItem:
-    labels: tuple[Expr, ...] | None  # None marks the default arm
-    body: list
-
-
-@dataclass
-class CaseStmt:
-    subject: Expr
-    items: list[CaseItem]
-    loc: SourceLocation
-
-
+# Statements; a body is a list of them.
+AssignStmt = _subtype(Node, "AssignStmt", "lhs rhs blocking loc")
+IfStmt = _subtype(Node, "IfStmt", "cond then_body else_body loc")
+CaseItem = _subtype(Node, "CaseItem", "labels body")  # labels: a tuple of Expr, or None for the default arm
+CaseStmt = _subtype(Node, "CaseStmt", "subject items loc")  # items: a list of CaseItem
 Statement = AssignStmt | IfStmt | CaseStmt
 
-
-@dataclass
-class AlwaysBlock:
-    sensitivity: list[SensItem] | None  # None means @(*)
-    body: list
-    loc: SourceLocation
-
-
-@dataclass
-class Instance:
-    module_name: str
-    instance_name: str
-    param_overrides: list[tuple[str | None, Expr]]
-    connections: list[tuple[str | None, Expr | None]]  # (port or None for positional, expr)
-    loc: SourceLocation
-
-
-@dataclass
-class GateInstance:
-    gate: str  # and|nand|or|nor|xor|xnor|not|buf
-    instance_name: str | None
-    terminals: list[Expr]  # output(s) first, inputs last per gate type
-    loc: SourceLocation
-
-
+AlwaysBlock = _subtype(Node, "AlwaysBlock", "sensitivity body loc")  # sensitivity: SensItems, or None for @(*)
+# param_overrides and connections: (name, expr) pairs, name None when
+# positional; a connection's expr is None when it is left open.
+Instance = _subtype(Node, "Instance", "module_name instance_name param_overrides connections loc")
+# gate: and | nand | or | nor | xor | xnor | not | buf; instance_name may
+# be None; terminals: the output(s) first, inputs last per gate type.
+GateInstance = _subtype(Node, "GateInstance", "gate instance_name terminals loc")
 Item = NetDecl | ContinuousAssign | AlwaysBlock | Instance | GateInstance
 
 
@@ -288,13 +205,8 @@ def _view(kind: type) -> property:
     return property(lambda self: tuple(filter(kind.__instancecheck__, self.items)))  # isinstance, called from C
 
 
-@dataclass
-class ModuleDecl:
-    name: str
-    ports: list[Port]
-    params: list[ParamDecl]
-    loc: SourceLocation
-    items: list[Item]  # in source order, implicit nets last
+class ModuleDecl(Node):
+    __slots__ = ("name", "ports", "params", "loc", "items")  # items: in source order, implicit nets last
 
     nets = _view(NetDecl)
     assigns = _view(ContinuousAssign)
@@ -309,9 +221,8 @@ class ModuleDecl:
         return None
 
 
-@dataclass
-class Ast:
-    modules: list[ModuleDecl]
+class Ast(Node):
+    __slots__ = ("modules",)
 
     def module(self, name: str) -> ModuleDecl | None:
         for m in self.modules:
@@ -323,7 +234,7 @@ class Ast:
 def children(expr: Expr) -> list[Expr]:
     """The direct subexpressions of expr, in source order."""
     out = []
-    for name in EXPR_FIELDS[type(expr)]:
+    for name in expr.kids:
         child = getattr(expr, name)
         if isinstance(child, tuple):
             out.extend(child)
@@ -340,7 +251,7 @@ def iter_expr(expr: Expr) -> Iterator[Expr]:
     while stack:
         e = stack.pop()
         yield e
-        if EXPR_FIELDS[type(e)]:
+        if e.kids:
             stack.extend(children(e))
 
 
@@ -355,12 +266,11 @@ def map_expr(expr: Expr, hook: Callable) -> Expr:
         new = hook(e, walk)
         if new is not None:
             return new
-        cls = type(e)
-        kids = [getattr(e, name) for name in EXPR_FIELDS[cls]]
+        kids = [getattr(e, name) for name in e.kids]
         walked = [tuple(map(walk, kid)) if isinstance(kid, tuple) else walk(kid) for kid in kids]
         if all(w is k or isinstance(w, tuple) and all(map(operator.is_, w, k)) for w, k in zip(walked, kids)):
             return e
-        return cls(*[getattr(e, name) for name in _HEAD_FIELDS[cls]], *walked)
+        return type(e)(*[getattr(e, name) for name in e.fields[:-len(kids)]], *walked)
 
     return walk(expr)
 

@@ -7,7 +7,7 @@ the Verilog standard.
 
 from __future__ import annotations
 
-from ipsim.errors import SourceLocation, TokenLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
+from ipsim.errors import FrontendError, SourceLocation, TokenLocation, UnresolvedIdentifier, UnsupportedConstruct, VerilogSyntaxError
 from ipsim.frontend.lexer import UNSUPPORTED_KEYWORDS, Lines, parse_number, scan
 from ipsim.frontend import nodes as n
 
@@ -120,7 +120,7 @@ class _Parser:
         self.expect(";")
         for pname in header_names:
             # Direction/width filled by body declarations.
-            mod.ports.append(n.Port(pname, "", None, loc))
+            mod.ports.append(n.Port(pname, "", None, loc, False))
         self.ports = {}
         for port in mod.ports:
             self.ports.setdefault(port.name, port)
@@ -450,6 +450,8 @@ class _Parser:
                 value = parse_number(text)
             except ValueError:
                 self.error("a literal whose digits fit its base")
+            except OverflowError:
+                raise FrontendError("constant expression too large", loc)
             self.advance()
             return n.Number(loc, text, value)
         if kind == "real":

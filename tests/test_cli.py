@@ -140,15 +140,22 @@ def test_negative_shift_count_in_constant_is_an_input_error(tmp_path, capsys, de
     assert f"shift.v:2:{col}: negative shift count in constant expression" in err
 
 
-# 3 ** 2**15 has 51,938 bits, so P16 = P15 * P15 is the first product past
-# the 65,536-bit bound; the shift's result would be 100,000,001 bits.
+# 3 ** 2**10 has 1,624 bits, so P11 = P10 * P10 is the first product past
+# the 2,048-bit bound; the shift's result would be 100,000,001 bits.
 SQUARINGS = "parameter P0 = 3;" + "".join(f"\n  parameter P{i} = P{i - 1} * P{i - 1};" for i in range(1, 24))
+# 20,000 bits: past the 4,300 decimal digits that str() prints by default.
+WIDE_HEX = "'h" + "f" * 5000
 
 
 @pytest.mark.parametrize("decl, where", [
     ("parameter S = 1 << 100000000;", "2:17"),
-    (SQUARINGS, "18:19"),
-], ids=["shift", "squarings"])
+    (SQUARINGS, "13:19"),
+    ("assign y = a[(1 << 65000) : 0];", "2:17"),
+    (f"parameter P = 20000{WIDE_HEX}; assign y = a + P;", "2:17"),
+    (f"assign y = a + 128{WIDE_HEX};", "2:18"),
+    (f"assign y = a + {'9' * 5000};", "2:18"),
+    (f"parameter P = 2048'h{'f' * 512} + 1;", "2:17"),
+], ids=["shift", "squarings", "select", "parameter", "literal", "decimal", "sum"])
 def test_constant_too_large_is_an_input_error(tmp_path, capsys, decl, where):
     src = tmp_path / "big.v"
     src.write_text(f"module m(input [3:0] a, output [1:0] y);\n  {decl}\n  assign y = a[1:0];\nendmodule\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from ipsim.errors import UnresolvedIdentifier
+from ipsim.errors import SourceLocation, UnresolvedIdentifier
 from ipsim.frontend import emit_expr, parse
 from ipsim.frontend import nodes as n
 
@@ -73,3 +73,32 @@ def test_map_expr_keeps_what_its_hook_leaves_alone():
     ternary, new_ternary = expr.right.left, renamed.right.left
     assert new_ternary.cond is ternary.cond and new_ternary.true is ternary.true
     assert new_ternary.false is not ternary.false and renamed.right.right is expr.right.right
+
+
+def test_expressions_are_values_and_statements_are_mutable():
+    expr, again = rhs("a + b[c]"), rhs("a + b[c]")
+    with pytest.raises(AttributeError):
+        expr.op = "-"
+    with pytest.raises(AttributeError):
+        del expr.left
+    assert expr.op == "+"
+    assert expr is not again and expr == again and hash(expr) == hash(again)
+    assert expr != rhs("a + b[d]")
+
+    mod = parse("module m(input a, output reg y); always @(*) y = a; endmodule", "<test>").modules[0]
+    stmt = mod.always_blocks[0].body[0]
+    for node in (mod, stmt):
+        with pytest.raises(TypeError):
+            hash(node)
+    mod.name, stmt.rhs = "renamed", expr
+    assert mod.name == "renamed" and stmt.rhs is expr
+
+    loc = SourceLocation("<e>", 1, 2)
+    with pytest.raises(TypeError):
+        n.Binary(loc, "+", expr)
+    with pytest.raises(TypeError):
+        n.NetDecl("w", "wire", None, loc, None)
+    assert repr(n.Binary(loc, "+", n.Ident(loc, "a"), n.Number(loc, "1", 1))) == (
+        "Binary(loc=SourceLocation(path='<e>', line=1, col=2), op='+', "
+        "left=Ident(loc=SourceLocation(path='<e>', line=1, col=2), name='a'), "
+        "right=Number(loc=SourceLocation(path='<e>', line=1, col=2), text='1', value=1))")

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shutil
 import subprocess
@@ -158,3 +159,20 @@ def test_items_emit_in_source_order_and_reorder_permutes_them():
         orders.add(tuple(map(type, mod.items)))
         connections.add(tuple(mod.instances[0].connections))
     assert len(orders) > 1 and len(connections) == 2
+
+
+# One SHA-256 over the texts synthesize_variants makes: three variants of
+# each seed design (a corpus file without a _v<i> stem) for seeds 0-9.
+VARIANT_TEXTS_SHA256 = "0e4388dcf123f5ac161065cd9cfeefb05c4d6752a1a5781d2ba7963e1a16e864"
+
+
+def test_variant_texts_are_pinned():
+    digest = hashlib.sha256()
+    seeds = [p for p in sorted(CORPUS_ROOT.rglob("*.v")) if not re.search(r"_v\d+$", p.stem)]
+    for path in seeds:
+        name = path.relative_to(CORPUS_ROOT).as_posix()
+        for seed in range(10):
+            for text in synthesize_variants(path.read_text(), 3, seed, name):
+                digest.update(text.encode() + b"\n")
+    assert len(seeds) == 24
+    assert digest.hexdigest() == VARIANT_TEXTS_SHA256
