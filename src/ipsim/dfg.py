@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ipsim.errors import (
     DfgError,
@@ -40,8 +41,7 @@ NODE_KINDS = (
 KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     kind: str
     label: str = ""
@@ -76,7 +76,8 @@ class Graph:
 class _Sym:
     """Operator node in a symbolic driver tree. Shared subtrees are
     deliberate (blocking reads snapshot the writer's tree) and are
-    emitted once, by object identity."""
+    emitted once, by object identity. A leaf that reads a signal is an
+    n.Ident: the source's own read, or a fresh one for a held value."""
 
     __slots__ = ("kind", "label", "children")
 
@@ -84,15 +85,6 @@ class _Sym:
         self.kind = kind
         self.label = label
         self.children = children
-
-
-class _Ref:
-    """Read of a named signal, resolved to that signal's node."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 def _const_label(num: n.Number) -> str:
@@ -274,7 +266,7 @@ class _Builder:
         for _, arm_env in [*arms, (None, default)]:
             changed |= {k for k in arm_env if arm_env[k] is not env.get(k)}
         for name in changed:
-            hold = env.get(name, _Ref(name))
+            hold = env.get(name, n.Ident(None, name))
             acc = default.get(name, hold)
             for cond, arm_env in reversed(arms):
                 aval = arm_env.get(name, hold)
@@ -285,7 +277,7 @@ class _Builder:
         for name, hi, lo, driver in self._targets(lhs, sym):
             if hi is not None:
                 top, bot = _width_of(self.flat, name)
-                old = env.get(name, _Ref(name))
+                old = env.get(name, n.Ident(None, name))
                 parts = [driver]
                 if hi < top:
                     parts.insert(0, _part(old, top, hi + 1))
@@ -298,7 +290,7 @@ class _Builder:
 
     def _conv(self, expr: n.Expr, env: dict):
         if isinstance(expr, n.Ident):
-            return env.get(expr.name) or _Ref(expr.name)
+            return env.get(expr.name) or expr
         if isinstance(expr, n.Number):
             return _Sym("Constant", _const_label(expr), ())
         if isinstance(expr, n.Unary):
@@ -334,7 +326,7 @@ class _Builder:
         return len(self.kinds) - 1
 
     def _emit(self, sym) -> int:
-        if isinstance(sym, _Ref):
+        if isinstance(sym, n.Ident):
             return self._signal_node(sym.name)
         cached = self.sym_nodes.get(sym)
         if cached is not None:
@@ -370,9 +362,10 @@ class _Builder:
         return nid
 
     def build(self, root_signals: list[str], name: str) -> Graph:
+        """The raw graph: nodes in emission order, edges unsorted."""
         roots = [self._signal_node(s) for s in root_signals]
         nodes = [Node(i, k, l) for i, (k, l) in enumerate(zip(self.kinds, self.labels))]
-        return Graph(name=name, nodes=nodes, edges=sorted(self.edges), roots=roots)
+        return Graph(name=name, nodes=nodes, edges=list(self.edges), roots=roots)
 
 
 def build_dfg(flat: FlatModule, trimmed: bool = True) -> Graph:
@@ -391,7 +384,8 @@ def trim(graph: Graph) -> Graph:
     Splices run lowest spliceable id first; in a cycle of aliases that
     order decides which alias survives. A splice changes only the
     successor sets of the spliced node's predecessors, so only those go
-    back on the heap."""
+    back on the heap. The kept nodes are renumbered as _canonicalize
+    numbers a graph, in the same pass."""
     succ_lists = graph.successors()
     keep: set[int] = set()
     stack = list(graph.roots)
@@ -402,25 +396,28 @@ def trim(graph: Graph) -> Graph:
         keep.add(cur)
         stack.extend(succ_lists[cur])
 
-    succ: dict[int, set[int]] = {nid: set() for nid in keep}
+    # keep holds every successor of a kept node.
+    succ: dict[int, set[int]] = {nid: set(succ_lists[nid]) for nid in keep}
     pred: dict[int, set[int]] = {nid: set() for nid in keep}
-    for s, d in graph.edges:
-        if s in keep and d in keep:
-            succ[s].add(d)
+    for s, out in succ.items():
+        for d in out:
             pred[d].add(s)
-    roots = set(graph.roots)
+    nodes = graph.nodes
+    signals = {nid for nid in keep if nodes[nid].kind == "Signal"}.difference(graph.roots)
 
     def spliceable(nid: int) -> bool:
         # A self alias stays: there is nothing to splice it to.
-        out = succ.get(nid)
-        return (out is not None and len(out) == 1 and nid not in out
-                and nid not in roots and graph.nodes[nid].kind == "Signal")
+        if nid not in signals:
+            return False
+        out = succ[nid]
+        return len(out) == 1 and nid not in out
 
-    heap = sorted(nid for nid in keep if spliceable(nid))
+    heap = sorted(filter(spliceable, signals))
     while heap:
         nid = heapq.heappop(heap)
         if not spliceable(nid):
             continue
+        signals.discard(nid)
         (target,) = succ.pop(nid)
         into = pred[target]
         into.discard(nid)
@@ -432,29 +429,29 @@ def trim(graph: Graph) -> Graph:
             if spliceable(p):
                 heapq.heappush(heap, p)
 
-    order = sorted(succ)
-    pos = {old: new for new, old in enumerate(order)}
-    return _canonicalize(Graph(
-        name=graph.name,
-        nodes=[graph.nodes[i] for i in order],
-        edges=[(pos[s], pos[d]) for s in order for d in succ[s]],
-        roots=[pos[r] for r in graph.roots],
-    ))
+    order = sorted(succ, key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
+    return _renumber(graph, order, ((s, d) for s, out in succ.items() for d in out))
 
 
 def _canonicalize(graph: Graph) -> Graph:
     """Renumber nodes by (kind, label, prior position) so equal structure
     yields equal serialized form."""
-    ranking = sorted(range(graph.num_nodes),
-                     key=lambda i: (KIND_INDEX[graph.nodes[i].kind], graph.nodes[i].label, i))
-    remap = {old: new for new, old in enumerate(ranking)}
-    nodes = [Node(remap[i], node.kind, node.label)
-             for i, node in enumerate(graph.nodes)]
-    nodes.sort(key=lambda nd: nd.id)
+    nodes = graph.nodes
+    order = sorted(range(len(nodes)), key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
+    return _renumber(graph, order, set(graph.edges))
+
+
+def _renumber(graph: Graph, order: list[int], edges) -> Graph:
+    """The graph of graph's nodes order[0], order[1], ..., numbered from 0,
+    with the given edges among them, sorted, and graph's roots."""
+    remap = [0] * graph.num_nodes
+    for new, old in enumerate(order):
+        remap[old] = new
+    nodes = graph.nodes
     return Graph(
         name=graph.name,
-        nodes=nodes,
-        edges=sorted((remap[s], remap[d]) for s, d in set(graph.edges)),
+        nodes=[Node(new, nodes[old].kind, nodes[old].label) for new, old in enumerate(order)],
+        edges=sorted([(remap[s], remap[d]) for s, d in edges]),
         roots=[remap[r] for r in graph.roots],
     )
 

@@ -21,6 +21,13 @@ from ipsim.errors import (
 )
 from ipsim.frontend import nodes as n
 
+# The most module instances, the top's included, that a flattened design
+# may hold: four times the 16,386 nodes of a large gate netlist even if
+# each node had an instance of its own. A module that instantiates the
+# next one twice reaches it in 17 levels.
+MAX_INSTANCES = 1 << 16
+
+
 @dataclass
 class FlatPort:
     name: str
@@ -122,7 +129,37 @@ def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
                                 n.Number(e.loc, str(msb), msb), n.Number(e.loc, str(lsb), lsb))
         return None
 
-    return lambda expr: n.map_expr(expr, hook)
+    # An identifier, such as a gate terminal, needs no walk: the hook
+    # maps it without descending.
+    return lambda expr: hook(expr, None) if isinstance(expr, n.Ident) else n.map_expr(expr, hook)
+
+
+def _instance_count(ast: n.Ast, top: str) -> int:
+    """The module instances that flattening top would create, top's
+    included, or MAX_INSTANCES + 1 if there are more. A module's count is
+    1 plus its instances' counts, found once per module from an explicit
+    stack. An unknown module counts 1 and a recursive instance 0: the
+    flattener reports both."""
+
+    def children(name: str) -> list[str]:
+        mod = ast.module(name)
+        return [] if mod is None else [inst.module_name for inst in mod.instances]
+
+    counts: dict[str, int] = {}
+    active = {top}  # the modules on the stack
+    stack = [(top, iter(children(top)))]
+    while stack:
+        name, pending = stack[-1]
+        for child in pending:
+            if child not in counts and child not in active:
+                active.add(child)
+                stack.append((child, iter(children(child))))
+                break
+        else:
+            stack.pop()
+            active.discard(name)
+            counts[name] = min(1 + sum(counts.get(c, 0) for c in children(name)), MAX_INSTANCES + 1)
+    return counts[top]
 
 
 class _Flattener:
@@ -134,6 +171,8 @@ class _Flattener:
         mod = self.ast.module(top)
         if mod is None:
             raise UnknownModule(top)
+        if _instance_count(self.ast, top) > MAX_INSTANCES:
+            raise ElaborationError(f"module {top!r} flattens to more than {MAX_INSTANCES} module instances")
         env = _eval_params(mod, {})
         self.flat = FlatModule(name=top)
         for port in mod.ports:

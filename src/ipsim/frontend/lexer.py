@@ -32,14 +32,19 @@ _RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
 # first, so that a match takes "<<<" before "<<" and "<".
 _OPS = sorted({*BINARY, *FOUR_STATE, *UNARY, *"=?:;,.()[]{}@#"}, key=lambda op: (-len(op), op))
 
-# Each match skips blanks, then captures one token: an identifier, a real,
-# a based or plain number, an escaped identifier, a system name, an
+# Single characters that start no longer operator, such as "(" and ";".
+_LONE = "".join(op for op in _OPS if len(op) == 1 and not any(o != op and o.startswith(op) for o in _OPS))
+
+# Each match skips blanks, then captures one token: an identifier, a lone
+# character (tried second, since it is the next most common token), a
+# real, a based or plain number, an escaped identifier, a system name, an
 # operator, a character that starts no token, or the empty text at the end.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
+    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|[" + re.escape(_LONE) + r"]"
+    r"|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
     r"|\d[\d_]*|\\\S+|\$[A-Za-z_][A-Za-z0-9_$]*|"
     + "".join(re.escape(op) + "|" for op in _OPS if len(op) > 1)
-    + "[" + re.escape("".join(op for op in _OPS if len(op) == 1)) + r"]|.|\Z)"
+    + "[" + re.escape("".join(op for op in _OPS if len(op) == 1 and op not in _LONE)) + r"]|.|\Z)"
 )
 # A token's kind by its whole text, else by its first character.
 _KIND_BY_TEXT = {**dict.fromkeys(_OPS, "op"), **dict.fromkeys(_RESERVED, "keyword"),
@@ -103,12 +108,17 @@ class Lines:
 
 
 def parse_number(text: str) -> int | None:
-    """A literal's value: None for x/z/? bits, ValueError for a digit outside
-    its base, OverflowError for a value wider than MAX_CONST_BITS."""
+    """A literal's value, truncated to its size as IEEE 1364-2005 3.5.1
+    says: None for x/z/? bits, ValueError naming what was expected for a
+    zero size or a digit outside its base, OverflowError for a value wider
+    than MAX_CONST_BITS."""
     text = text.replace("_", "")
-    base, digits = 10, text
+    base, digits, size = 10, text, ""
     if "'" in text:
-        _, rest = text.split("'", 1)
+        size, rest = text.split("'", 1)
+        size = size.lstrip("0") or size[:1]
+        if size == "0":
+            raise ValueError("a literal of nonzero size")
         if rest and rest[0] in "sS":
             rest = rest[1:]
         base_char, digits = rest[0].lower(), rest[1:]
@@ -116,7 +126,7 @@ def parse_number(text: str) -> int | None:
             return None
         base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
         if not set(digits.lower()) <= set("0123456789abcdef"[:base]):  # int() also takes "0b"
-            raise ValueError(f"digits of {text!r} do not fit base {base}")
+            raise ValueError("a literal whose digits fit its base")
     # A value of d significant digits is at least base ** (d - 1). That is
     # tested before int(), which refuses decimal text longer than the
     # process's digit limit, leading zeros included.
@@ -124,5 +134,8 @@ def parse_number(text: str) -> int | None:
     if (len(significant) - 1) * math.log2(base) < MAX_CONST_BITS:
         value = int(significant or digits[:1], base)
         if value.bit_length() <= MAX_CONST_BITS:
+            # A size of five digits is wider than any value that gets here.
+            if size and len(size) < 5 and value.bit_length() > int(size):
+                value &= (1 << int(size)) - 1
             return value
     raise OverflowError(f"literal wider than {MAX_CONST_BITS} bits")

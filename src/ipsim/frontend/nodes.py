@@ -261,18 +261,27 @@ def map_expr(expr: Expr, hook: Callable) -> Expr:
     not descended into (the hook may call walk on the children it wants
     rewritten); None rebuilds e from its children walked left to right,
     or keeps e itself when every child comes back as the same object."""
+    return _Walk(hook)(expr)
 
-    def walk(e: Expr) -> Expr:
-        new = hook(e, walk)
+
+class _Walk:
+    """map_expr's walk: an object that holds the hook, where a closure
+    that called itself would leave a reference cycle per walk."""
+
+    __slots__ = ("hook",)
+
+    def __init__(self, hook: Callable):
+        self.hook = hook
+
+    def __call__(self, e: Expr) -> Expr:
+        new = self.hook(e, self)
         if new is not None:
             return new
         kids = [getattr(e, name) for name in e.kids]
-        walked = [tuple(map(walk, kid)) if isinstance(kid, tuple) else walk(kid) for kid in kids]
+        walked = [tuple(map(self, kid)) if isinstance(kid, tuple) else self(kid) for kid in kids]
         if all(w is k or isinstance(w, tuple) and all(map(operator.is_, w, k)) for w, k in zip(walked, kids)):
             return e
         return type(e)(*[getattr(e, name) for name in e.fields[:-len(kids)]], *walked)
-
-    return walk(expr)
 
 
 def map_stmts(stmts: list[Statement], fn: Callable[[Expr], Expr]) -> list[Statement]:

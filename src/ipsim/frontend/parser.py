@@ -13,6 +13,8 @@ from ipsim.frontend import nodes as n
 
 # Precedence by operator token, a four-state operator at its two-state form's.
 _PREC = {op: n.BINARY[n.FOUR_STATE.get(op, op)].prec for op in [*n.BINARY, *n.FOUR_STATE]}
+# Operators that, after an identifier, make it part of a larger expression.
+_EXTENDS = frozenset([*_PREC, "?", "[", ".", "("])
 
 
 class _Parser:
@@ -174,7 +176,9 @@ class _Parser:
 
     def parse_item(self, mod: n.ModuleDecl):
         kind, text, word = self.kind, self.text, self.keyword()
-        if word in ("input", "output", "inout"):
+        if word in n.GATES:
+            self.parse_gate(mod)
+        elif word in ("input", "output", "inout"):
             self.parse_port_decl(mod)
         elif word in ("wire", "reg"):
             self.parse_net_decl(mod)
@@ -184,8 +188,6 @@ class _Parser:
             self.parse_assign(mod)
         elif word == "always":
             self.parse_always(mod)
-        elif word in n.GATES:
-            self.parse_gate(mod)
         elif word in UNSUPPORTED_KEYWORDS:
             self.unsupported(text)
         elif kind == "ident":
@@ -342,7 +344,7 @@ class _Parser:
     def parse_gate(self, mod: n.ModuleDecl):
         gate = self.advance()
         while True:
-            inst_name = self.expect_ident() if self.kind == "ident" else None
+            inst_name = self.advance() if self.kind == "ident" else None
             loc = self.expect_at("(")
             terms = self.parse_list(self.parse_expr)
             self.expect(")")
@@ -409,6 +411,9 @@ class _Parser:
         return self.parse_postfix(n.Ident(loc, name))
 
     def parse_expr(self) -> n.Expr:
+        if self.kind == "ident" and (self.kinds[self.pos + 1] != "op" or self.texts[self.pos + 1] not in _EXTENDS):
+            loc = self.loc()  # a lone identifier, such as a gate terminal
+            return n.Ident(loc, self.advance())
         left = self.parse_binary(0)
         if self.text == "?" and self.kind == "op":
             self.advance()
@@ -448,8 +453,8 @@ class _Parser:
         if kind == "number":
             try:
                 value = parse_number(text)
-            except ValueError:
-                self.error("a literal whose digits fit its base")
+            except ValueError as exc:
+                self.error(*exc.args)
             except OverflowError:
                 raise FrontendError("constant expression too large", loc)
             self.advance()
@@ -501,8 +506,11 @@ class _Parser:
 def _resolve_module(mod: n.ModuleDecl, path: str):
     """Check identifier resolution, inserting implicit 1-bit wires where the
     standard allows them (simple names in port connections and assign LHS)."""
+    items: dict[type, list] = {kind: [] for kind in n.Item.__args__}  # the items by type, in one pass
+    for item in mod.items:
+        items[type(item)].append(item)
     declared = {p.name for p in mod.ports}
-    declared.update(d.name for d in mod.nets)
+    declared.update(d.name for d in items[n.NetDecl])
     declared.update(p.name for p in mod.params)
 
     def implicit(name: str, loc: SourceLocation):
@@ -510,15 +518,15 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             declared.add(name)
             mod.items.append(n.NetDecl(name, "wire", None, loc))
 
-    for inst in mod.instances:
+    for inst in items[n.Instance]:
         for _, expr in inst.connections:
             if isinstance(expr, n.Ident):
                 implicit(expr.name, expr.loc)
-    for gate in mod.gates:
+    for gate in items[n.GateInstance]:
         for expr in gate.terminals:
             if isinstance(expr, n.Ident):
                 implicit(expr.name, expr.loc)
-    for assign in mod.assigns:
+    for assign in items[n.ContinuousAssign]:
         for e in n.iter_expr(assign.lhs):
             if isinstance(e, n.Ident):
                 implicit(e.name, e.loc)
@@ -530,23 +538,24 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             if isinstance(e, n.Ident) and e.name not in declared:
                 raise UnresolvedIdentifier(e.name, e.loc)
 
-    for assign in mod.assigns:
+    for assign in items[n.ContinuousAssign]:
         check_expr(assign.rhs)
-    for blk in mod.always_blocks:
+    for blk in items[n.AlwaysBlock]:
         if blk.sensitivity:
             for item in blk.sensitivity:
                 if item.signal not in declared:
                     raise UnresolvedIdentifier(item.signal, blk.loc)
         for expr in n.stmt_exprs(blk.body):
             check_expr(expr)
-    for inst in mod.instances:
+    for inst in items[n.Instance]:
         for _, expr in inst.connections:
             check_expr(expr)
         for _, expr in inst.param_overrides:
             check_expr(expr)
-    for gate in mod.gates:
+    for gate in items[n.GateInstance]:
         for expr in gate.terminals:
-            check_expr(expr)
+            if not isinstance(expr, n.Ident):  # the implicit pass declared the others
+                check_expr(expr)
 
 
 def parse(text: str, path: str = "<text>") -> n.Ast:

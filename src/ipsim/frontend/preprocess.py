@@ -24,6 +24,8 @@ MAX_MACRO_USES = 1024  # substitutions on one line, nested ones included: bounds
 # A string literal (an unterminated one runs to the end), a line comment, a
 # block comment, or a lone /* that never closes.
 _COMMENT_RE = re.compile(r'"(?:\\.|[^"\\])*"?|//[^\n]*|/\*.*?\*/|/\*', re.DOTALL)
+# The whitespace of a line that holds nothing else, as str.strip sees it.
+_BLANK_RE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
 @dataclass
@@ -105,6 +107,9 @@ class _Preprocessor:
     def process_file(self, path: str, text: str, include_stack: tuple[str, ...]) -> str:
         if path in include_stack:
             raise PreprocessError(f"circular `include of {path!r}")
+        text = strip_comments(text)
+        if "`" not in text:  # no directive and no macro: only the blank lines change
+            return _BLANK_RE.sub("", text)
         return "\n".join(self._process_lines(path, text, include_stack + (path,)))
 
     def _read_include(self, inc: str, including: str) -> tuple[str, str]:
@@ -120,7 +125,9 @@ class _Preprocessor:
         raise PreprocessError(f"cannot resolve `include \"{inc}\" from {including}")
 
     def _process_lines(self, path: str, text: str, include_stack: tuple[str, ...]) -> list[str]:
-        raw_lines = strip_comments(text).split("\n")
+        """The lines of text, whose comments are stripped, with every
+        directive resolved and every macro expanded."""
+        raw_lines = text.split("\n")
         out: list[str] = []
         # Each conditional frame: [active, parent_active, seen_else].
         cond: list[list[bool]] = []

@@ -29,7 +29,9 @@ def _stage(stage: str, design: str, fn, *args, **kwargs):
     except IpsimError as exc:
         raise PipelineError(stage, design, exc) from exc
     except RecursionError as exc:
-        raise PipelineError(stage, design, DesignTooDeep(sys.getrecursionlimit())) from exc
+        # Without its traceback, which holds every frame of the recursion,
+        # the failed stage is freed as soon as the error is.
+        raise PipelineError(stage, design, DesignTooDeep(sys.getrecursionlimit())) from exc.with_traceback(None)
 
 
 def unit_from_paths(paths: list[str | Path], top: str | None = None,

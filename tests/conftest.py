@@ -29,6 +29,18 @@ def flat_xor(terms: int) -> str:
     return f"module flatxor(input [{terms - 1}:0] a, output y);\n  assign y = {chain};\nendmodule\n"
 
 
+def doubling(levels: int) -> str:
+    """Modules m0 to m<levels - 1>, each above m0 instantiating the one
+    below it twice: 2 ** levels - 1 instances flattened, in source that
+    grows by one module a level."""
+    mods = ["module m0(input a, output y);\n  assign y = ~a;\nendmodule\n"]
+    for i in range(1, levels):
+        mods.append(f"module m{i}(input a, output y);\n  wire t0, t1;\n"
+                    f"  m{i - 1} u0 (.a(a), .y(t0));\n  m{i - 1} u1 (.a(a), .y(t1));\n"
+                    f"  assign y = t0 ^ t1;\nendmodule\n")
+    return "".join(mods)
+
+
 @pytest.fixture
 def full_adder_graph():
     from ipsim.pipeline import compile_text

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ipsim
-from conftest import CORPUS_ROOT, FULL_ADDER, flat_xor
+from conftest import CORPUS_ROOT, FULL_ADDER, doubling, flat_xor
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from ipsim.model import Hyper, ModelParams, init_params
 from ipsim.train import load_checkpoint, save_checkpoint
@@ -170,6 +170,15 @@ def test_constant_too_large_is_an_input_error(tmp_path, capsys, decl, where):
     assert code == EXIT_INPUT
     assert f"big.v:{where}: constant expression too large" in capsys.readouterr().err
     assert elapsed < 1.0 and peak < 4 << 20
+
+
+def test_too_many_instances_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "wide.v"
+    src.write_text(doubling(20))  # 1,048,575 instances
+    start = time.perf_counter()
+    assert main(["dfg", str(src)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "module 'm19' flattens to more than 65536 module instances" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9", "4'b0b1", "4'sB0B1"])

@@ -460,3 +460,8 @@ def test_relabeled_random_graph_is_isomorphic(seed, size):
                  edges=g.edges, roots=[])
     shuffled = Graph(name="shuffled", nodes=nodes, edges=edges2, roots=[])
     assert is_isomorphic(anon, shuffled)
+
+
+def test_truncated_literal_compiles_as_its_value():
+    design = "module m(input [3:0] a, output [3:0] y);\n  assign y = a + {};\nendmodule\n"
+    assert serialize(compile_text(design.format("2'd7"))) == serialize(compile_text(design.format("2'd3")))

@@ -7,8 +7,10 @@ from ipsim.errors import (
     UnknownModule,
     UnresolvedIdentifier,
 )
+from conftest import doubling
 from ipsim.frontend import const_eval, flatten_hierarchy, infer_top, parse
 from ipsim.frontend import nodes as n
+from ipsim.frontend.flatten import MAX_INSTANCES, _instance_count
 
 
 def flat(src: str, top: str | None = None):
@@ -202,3 +204,16 @@ endmodule
     assert stmt.cond is top_stmt.cond
     assert stmt.then_body[0].rhs is top_stmt.then_body[0].rhs
     assert stmt.else_body[0].rhs is top_stmt.else_body[0].rhs
+
+
+def test_instance_count_is_found_from_the_source():
+    assert _instance_count(parse(doubling(16)), "m15") == (1 << 16) - 1
+    assert _instance_count(parse(doubling(17)), "m16") == MAX_INSTANCES + 1
+    # A recursive instance counts nothing; the flattener reports it.
+    recursive = parse("module a(input x, output y); a inner (.x(x), .y(y)); endmodule")
+    assert _instance_count(recursive, "a") == 1
+
+
+def test_too_many_instances_is_an_elaboration_error():
+    with pytest.raises(ElaborationError, match="module 'm16' flattens to more than 65536 module instances"):
+        flatten_hierarchy(parse(doubling(17)))

@@ -281,3 +281,16 @@ def test_syntax_error_shows_an_escaped_identifier_with_its_backslash():
     with pytest.raises(VerilogSyntaxError) as plain:
         parse("module m(y, a, b); output y; input a, b; assign y = b c a; endmodule", "<test>")
     assert plain.value.got == "c"
+
+
+@pytest.mark.parametrize("text, value", [("2'd7", 3), ("4'hff", 15), ("4'hf", 15), ("3'b1101", 5),
+                                         ("8'sd255", 255), ("'d7", 7), ("99999'd5", 5)])
+def test_sized_literal_keeps_only_its_size_in_bits(text, value):
+    mod = parse_one(f"module m(output [7:0] y); assign y = {text}; endmodule")
+    assert mod.assigns[0].rhs.value == value
+
+
+def test_zero_size_literal_is_a_syntax_error_at_the_literal():
+    with pytest.raises(VerilogSyntaxError) as err:
+        parse("module m(output [7:0] y);\n  assign y = 0'd5;\nendmodule\n", "z.v")
+    assert str(err.value) == "z.v:2:14: expected a literal of nonzero size, got \"0'd5\""

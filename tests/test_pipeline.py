@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from ipsim.errors import (
     VerilogSyntaxError,
 )
 from ipsim.pipeline import compile_design, compile_text, unit_from_paths
+from test_scanners import PERFBENCH
 
 
 def test_compile_text_full_adder(full_adder_graph):
@@ -110,7 +113,7 @@ def test_unit_from_paths_collects_defines(tmp_path):
 # digest; any other exception fails the test.
 DIAGNOSTIC_FRAGMENTS = ["\\wire ", "endmodule", "((", "a[i +: 4]", "1 << -1", "4'd3f", "generate",
                         "#5", "{2{", "`undefined", "assign", ";", "wire w;", "1'bx"]
-CORPUS_DIAGNOSTICS_SHA256 = "5c52c71baef4e43ec792793058525e300a268542fa7259ab6e0c30a8b7ac6373"
+CORPUS_DIAGNOSTICS_SHA256 = "88d54ee5ca119bcf8c00ea876482ccf1ac1acb76433c30b2e488c5f980a2a231"
 
 
 def test_corpus_diagnostics_are_pinned():
@@ -135,3 +138,30 @@ def test_corpus_diagnostics_are_pinned():
                 count += 1
     assert count == 1472
     assert digest.hexdigest() == CORPUS_DIAGNOSTICS_SHA256
+
+
+def test_no_compile_leaves_cyclic_garbage(monkeypatch):
+    """Every object a compile makes is freed by reference counting, so a
+    compile gives the cyclic collector nothing to find, a failed one
+    (the chain nests too deep) included."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ladder = importlib.import_module("ladder")
+    jobs = [(path.name, lambda path=path: compile_design([path])) for path in sorted(CORPUS_ROOT.rglob("*.v"))]
+    jobs += [(nl.name, lambda nl=nl: compile_text(nl.text, nl.name))
+             for nl in (ladder.parity(32, 0), ladder.adder(16, 0), ladder.chain(400, 0))]
+    found, failed = {}, []
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, job in jobs:
+            try:
+                job()
+            except PipelineError as exc:
+                failed.append((name, type(exc.cause).__name__))
+            found[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(found) == 95 and failed == [("chain_400", "DesignTooDeep")]
+    assert {name: count for name, count in found.items() if count} == {}

@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import CORPUS_ROOT
 from ipsim.errors import PipelineError, PreprocessError
 from ipsim.frontend import SourceUnit, preprocess, preprocess_text, strip_comments
+from ipsim.frontend.preprocess import _Preprocessor
 from ipsim.pipeline import compile_text
 
 
@@ -129,3 +131,28 @@ def test_macro_chain_sixteen_deep_expands_and_seventeen_raises():
 def test_self_referential_macro_raises():
     with pytest.raises(PreprocessError, match=r"^<text>:2:1: macro recursion beyond depth 16$"):
         preprocess_text("`define LOOP (`LOOP + 1)\nwire w = `LOOP;\n")
+
+
+def line_loop(text: str, path: str = "t.v") -> str:
+    """What the line loop makes of text: the reference for the shortcut
+    that a text with no backtick takes."""
+    return "\n".join(_Preprocessor(SourceUnit(files=[(path, text)]))._process_lines(path, strip_comments(text), (path,)))
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "  ", "a\n  \n\tb\n", "x\r\n \r\n\r\ny\r\n", "a\f\n\f\n \x0b \nb\n \f",
+    "wire w; /* one\n  two */ \n  \n/* three\n*/ assign w = 1;\n", "// c\n  // d\n\n  x // e\n",
+    "a\u3000\n\u3000\u00a0\n\x1c\nb", "s = \"a // b\";\n \t \n",
+])
+def test_shortcut_matches_line_loop(text):
+    assert "`" not in text
+    assert preprocess_text(text, "t.v") == line_loop(text)
+
+
+def test_shortcut_matches_line_loop_on_corpus():
+    paths = sorted(CORPUS_ROOT.rglob("*.v"))
+    assert len(paths) == 92
+    for path in paths:
+        text = path.read_text()
+        assert "`" not in text
+        assert preprocess_text(text, "t.v") == line_loop(text), path
