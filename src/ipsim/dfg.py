@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from typing import NamedTuple
 
 from ipsim.errors import (
@@ -39,12 +40,19 @@ NODE_KINDS = (
     "Cond", "Unknown",
 )
 KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
+_PORT_KINDS = {"input": "Input", "output": "Output", "inout": "Inout"}
 
 
 class Node(NamedTuple):
     id: int
     kind: str
     label: str = ""
+
+
+def _node_list(kinds, labels) -> list[Node]:
+    """Node(i, kinds[i], labels[i]) for each i, each made by tuple.__new__
+    without the Python call that Node() costs."""
+    return list(map(tuple.__new__, repeat(Node), zip(count(), kinds, labels)))
 
 
 @dataclass
@@ -159,7 +167,9 @@ class _DriverTable:
 class _Builder:
     def __init__(self, flat: FlatModule):
         self.flat = flat
-        self.dirs = flat.port_directions()
+        # A port's node kind; any other signal is a Signal.
+        self.port_kinds = {name: _PORT_KINDS.get(direction, "Signal")
+                           for name, direction in flat.port_directions().items()}
         self.table = _DriverTable()
         self.kinds: list[str] = []
         self.labels: list[str] = []
@@ -183,6 +193,9 @@ class _Builder:
                 self.table.add_full(name, sym)
 
     def _continuous(self, lhs: n.Expr, sym):
+        if isinstance(lhs, n.Ident):  # the common target, without the walk
+            self.table.add_full(lhs.name, sym)
+            return
         for name, hi, lo, driver in self._targets(lhs, sym, "continuous assignment target"):
             if hi is None:
                 self.table.add_full(name, driver)
@@ -350,8 +363,7 @@ class _Builder:
         cached = self.signal_nodes.get(name)
         if cached is not None:
             return cached
-        direction = self.dirs.get(name)
-        kind = {"input": "Input", "output": "Output", "inout": "Inout"}.get(direction, "Signal")
+        kind = self.port_kinds.get(name, "Signal")
         nid = self._new_node(kind, name)
         self.signal_nodes[name] = nid
         driver = self.table.driver(name)
@@ -364,8 +376,7 @@ class _Builder:
     def build(self, root_signals: list[str], name: str) -> Graph:
         """The raw graph: nodes in emission order, edges unsorted."""
         roots = [self._signal_node(s) for s in root_signals]
-        nodes = [Node(i, k, l) for i, (k, l) in enumerate(zip(self.kinds, self.labels))]
-        return Graph(name=name, nodes=nodes, edges=list(self.edges), roots=roots)
+        return Graph(name=name, nodes=_node_list(self.kinds, self.labels), edges=list(self.edges), roots=roots)
 
 
 def build_dfg(flat: FlatModule, trimmed: bool = True) -> Graph:
@@ -382,10 +393,12 @@ def trim(graph: Graph) -> Graph:
     Signal nodes so pure renames collapse to identical graphs. Idempotent.
 
     Splices run lowest spliceable id first; in a cycle of aliases that
-    order decides which alias survives. A splice changes only the
-    successor sets of the spliced node's predecessors, so only those go
-    back on the heap. The kept nodes are renumbered as _canonicalize
-    numbers a graph, in the same pass."""
+    order decides which alias survives. Only the candidates, the kept
+    Signals that are not roots, can be spliced, so only their successor
+    sets change as splices run, and only their predecessors among them go
+    back on the heap. Every other node's successors are resolved through
+    the splices at the end. The kept nodes are renumbered as
+    _canonicalize numbers a graph, in the same pass."""
     succ_lists = graph.successors()
     keep: set[int] = set()
     stack = list(graph.roots)
@@ -396,41 +409,49 @@ def trim(graph: Graph) -> Graph:
         keep.add(cur)
         stack.extend(succ_lists[cur])
 
-    # keep holds every successor of a kept node.
-    succ: dict[int, set[int]] = {nid: set(succ_lists[nid]) for nid in keep}
-    pred: dict[int, set[int]] = {nid: set() for nid in keep}
+    nodes = graph.nodes
+    succ = {nid: set(succ_lists[nid]) for nid in keep if nodes[nid].kind == "Signal"}
+    for root in graph.roots:
+        succ.pop(root, None)
+    pred: dict[int, set[int]] = {nid: set() for nid in succ}
     for s, out in succ.items():
         for d in out:
-            pred[d].add(s)
-    nodes = graph.nodes
-    signals = {nid for nid in keep if nodes[nid].kind == "Signal"}.difference(graph.roots)
+            if d in pred:
+                pred[d].add(s)
 
     def spliceable(nid: int) -> bool:
         # A self alias stays: there is nothing to splice it to.
-        if nid not in signals:
-            return False
-        out = succ[nid]
-        return len(out) == 1 and nid not in out
+        out = succ.get(nid)
+        return out is not None and len(out) == 1 and nid not in out
 
-    heap = sorted(filter(spliceable, signals))
+    alias: dict[int, int] = {}
+    heap = sorted(filter(spliceable, succ))
     while heap:
         nid = heapq.heappop(heap)
         if not spliceable(nid):
             continue
-        signals.discard(nid)
         (target,) = succ.pop(nid)
-        into = pred[target]
-        into.discard(nid)
+        alias[nid] = target
+        into = pred.get(target)
+        if into is not None:
+            into.discard(nid)
         for p in pred.pop(nid):
             out = succ[p]
             out.discard(nid)
             out.add(target)
-            into.add(p)
+            if into is not None:
+                into.add(p)
             if spliceable(p):
                 heapq.heappush(heap, p)
 
-    order = sorted(succ, key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
-    return _renumber(graph, order, ((s, d) for s, out in succ.items() for d in out))
+    # A target is spliced, if at all, after its alias: resolve in reverse.
+    for nid, target in reversed(alias.items()):
+        alias[nid] = alias.get(target, target)
+    kept = keep.difference(alias)
+    order = sorted(kept, key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
+    edges = {(s, alias.get(d, d)) for s in kept.difference(succ) for d in succ_lists[s]}
+    edges.update((s, d) for s, out in succ.items() for d in out)
+    return _renumber(graph, order, edges)
 
 
 def _canonicalize(graph: Graph) -> Graph:
@@ -444,14 +465,17 @@ def _canonicalize(graph: Graph) -> Graph:
 def _renumber(graph: Graph, order: list[int], edges) -> Graph:
     """The graph of graph's nodes order[0], order[1], ..., numbered from 0,
     with the given edges among them, sorted, and graph's roots."""
-    remap = [0] * graph.num_nodes
+    size = graph.num_nodes
+    remap = [0] * size
     for new, old in enumerate(order):
         remap[old] = new
     nodes = graph.nodes
+    # An edge sorts as the int src * size + dst, which orders as the pair does.
+    keys = sorted([remap[s] * size + remap[d] for s, d in edges])
     return Graph(
         name=graph.name,
-        nodes=[Node(new, nodes[old].kind, nodes[old].label) for new, old in enumerate(order)],
-        edges=sorted([(remap[s], remap[d]) for s, d in edges]),
+        nodes=_node_list([nodes[old].kind for old in order], [nodes[old].label for old in order]),
+        edges=list(map(divmod, keys, repeat(size))),
         roots=[remap[r] for r in graph.roots],
     )
 

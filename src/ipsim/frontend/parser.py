@@ -13,6 +13,8 @@ from ipsim.frontend import nodes as n
 
 # Precedence by operator token, a four-state operator at its two-state form's.
 _PREC = {op: n.BINARY[n.FOUR_STATE.get(op, op)].prec for op in [*n.BINARY, *n.FOUR_STATE]}
+# The kinds of token that check, accept and expect match by text.
+_MARKS = ("op", "keyword")
 # Operators that, after an identifier, make it part of a larger expression.
 _EXTENDS = frozenset([*_PREC, "?", "[", ".", "("])
 
@@ -42,17 +44,20 @@ class _Parser:
         return text
 
     def check(self, text: str) -> bool:
-        return self.text == text and self.kind in ("op", "keyword")
+        return self.text == text and self.kind in _MARKS
 
     def keyword(self) -> str | None:
         """The current token's text if it is a keyword (``\\wire`` is an identifier)."""
         return self.text if self.kind == "keyword" else None
 
+    # accept, expect and the expect_ helpers below inline check and loc:
+    # they run for most tokens.
+
     def accept(self, text: str) -> str | None:
-        return self.advance() if self.check(text) else None
+        return self.advance() if self.text == text and self.kind in _MARKS else None
 
     def expect(self, text: str) -> str:
-        if not self.check(text):
+        if self.text != text or self.kind not in _MARKS:
             self.error(repr(text))
         return self.advance()
 
@@ -63,14 +68,16 @@ class _Parser:
 
     def expect_at(self, text: str) -> SourceLocation:
         """Expect ``text``, and return its location."""
-        loc = self.loc()
+        loc = TokenLocation(self.lines, self.pos)
         self.expect(text)
         return loc
 
     def expect_named(self) -> tuple[str, SourceLocation]:
         """An identifier's text and location."""
-        loc = self.loc()
-        return self.expect_ident(), loc
+        if self.kind != "ident":
+            self.error("an identifier")
+        loc = TokenLocation(self.lines, self.pos)
+        return self.advance(), loc
 
     def parse_list(self, parse_item) -> list:
         """One or more ``parse_item()`` results, separated by commas."""
@@ -175,7 +182,8 @@ class _Parser:
     # --- module items ------------------------------------------------
 
     def parse_item(self, mod: n.ModuleDecl):
-        kind, text, word = self.kind, self.text, self.keyword()
+        kind, text = self.kind, self.text
+        word = text if kind == "keyword" else None
         if word in n.GATES:
             self.parse_gate(mod)
         elif word in ("input", "output", "inout"):
@@ -412,7 +420,7 @@ class _Parser:
 
     def parse_expr(self) -> n.Expr:
         if self.kind == "ident" and (self.kinds[self.pos + 1] != "op" or self.texts[self.pos + 1] not in _EXTENDS):
-            loc = self.loc()  # a lone identifier, such as a gate terminal
+            loc = TokenLocation(self.lines, self.pos)  # a lone identifier, such as a gate terminal
             return n.Ident(loc, self.advance())
         left = self.parse_binary(0)
         if self.text == "?" and self.kind == "op":
