@@ -10,6 +10,7 @@ connections become glue assignments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ipsim.errors import (
@@ -129,8 +130,10 @@ def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
                                 n.Number(e.loc, str(msb), msb), n.Number(e.loc, str(lsb), lsb))
         return None
 
-    # An identifier, such as a gate terminal, needs no walk: the hook
-    # maps it without descending.
+    # An identifier, such as a gate terminal, needs no walk: the hook maps
+    # it without descending, and in a parameterless top it is itself.
+    if not (prefix or env or alias):
+        return lambda expr: expr if isinstance(expr, n.Ident) else n.map_expr(expr, hook)
     return lambda expr: hook(expr, None) if isinstance(expr, n.Ident) else n.map_expr(expr, hook)
 
 
@@ -141,24 +144,25 @@ def _instance_count(ast: n.Ast, top: str) -> int:
     stack. An unknown module counts 1 and a recursive instance 0: the
     flattener reports both."""
 
-    def children(name: str) -> list[str]:
+    def frame(name: str) -> tuple[str, list[str], Iterator[str]]:
         mod = ast.module(name)
-        return [] if mod is None else [inst.module_name for inst in mod.instances]
+        kids = [] if mod is None else [inst.module_name for inst in mod.instances]
+        return name, kids, iter(kids)
 
     counts: dict[str, int] = {}
     active = {top}  # the modules on the stack
-    stack = [(top, iter(children(top)))]
+    stack = [frame(top)]
     while stack:
-        name, pending = stack[-1]
+        name, kids, pending = stack[-1]
         for child in pending:
             if child not in counts and child not in active:
                 active.add(child)
-                stack.append((child, iter(children(child))))
+                stack.append(frame(child))
                 break
         else:
             stack.pop()
             active.discard(name)
-            counts[name] = min(1 + sum(counts.get(c, 0) for c in children(name)), MAX_INSTANCES + 1)
+            counts[name] = min(1 + sum(counts.get(kid, 0) for kid in kids), MAX_INSTANCES + 1)
     return counts[top]
 
 
