@@ -50,16 +50,23 @@ class _Parser:
         """The current token's text if it is a keyword (``\\wire`` is an identifier)."""
         return self.text if self.kind == "keyword" else None
 
-    # accept, expect and the expect_ helpers below inline check and loc:
-    # they run for most tokens.
+    # accept, expect, parse_list and the lone identifier in parse_expr
+    # inline check, loc and advance (a token they match is not eof): they
+    # run for most tokens.
 
     def accept(self, text: str) -> str | None:
-        return self.advance() if self.text == text and self.kind in _MARKS else None
+        if self.text != text or self.kind not in _MARKS:
+            return None
+        self.pos = pos = self.pos + 1
+        self.kind, self.text = self.kinds[pos], self.texts[pos]
+        return text
 
     def expect(self, text: str) -> str:
         if self.text != text or self.kind not in _MARKS:
             self.error(repr(text))
-        return self.advance()
+        self.pos = pos = self.pos + 1
+        self.kind, self.text = self.kinds[pos], self.texts[pos]
+        return text
 
     def expect_ident(self) -> str:
         if self.kind != "ident":
@@ -83,7 +90,8 @@ class _Parser:
         """One or more ``parse_item()`` results, separated by commas."""
         items = [parse_item()]
         while self.text == "," and self.kind == "op":
-            self.advance()
+            self.pos = pos = self.pos + 1
+            self.kind, self.text = self.kinds[pos], self.texts[pos]
             items.append(parse_item())
         return items
 
@@ -419,9 +427,13 @@ class _Parser:
         return self.parse_postfix(n.Ident(loc, name))
 
     def parse_expr(self) -> n.Expr:
-        if self.kind == "ident" and (self.kinds[self.pos + 1] != "op" or self.texts[self.pos + 1] not in _EXTENDS):
-            loc = TokenLocation(self.lines, self.pos)  # a lone identifier, such as a gate terminal
-            return n.Ident(loc, self.advance())
+        pos = self.pos
+        if self.kind == "ident" and (self.kinds[pos + 1] != "op" or self.texts[pos + 1] not in _EXTENDS):
+            # A lone identifier, such as a gate terminal.
+            ident = n.Ident(TokenLocation(self.lines, pos), self.text)
+            self.pos = pos = pos + 1
+            self.kind, self.text = self.kinds[pos], self.texts[pos]
+            return ident
         left = self.parse_binary(0)
         if self.text == "?" and self.kind == "op":
             self.advance()
@@ -528,11 +540,11 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
 
     for inst in items[n.Instance]:
         for _, expr in inst.connections:
-            if isinstance(expr, n.Ident):
+            if isinstance(expr, n.Ident) and expr.name not in declared:
                 implicit(expr.name, expr.loc)
     for gate in items[n.GateInstance]:
         for expr in gate.terminals:
-            if isinstance(expr, n.Ident):
+            if isinstance(expr, n.Ident) and expr.name not in declared:
                 implicit(expr.name, expr.loc)
     for assign in items[n.ContinuousAssign]:
         for e in n.iter_expr(assign.lhs):
