@@ -123,10 +123,10 @@ class Node:
         # immutable type's stores go through the slot descriptors, which
         # its __setattr__ does not see; a mutable type's are plain stores,
         # which cost half as much.
-        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.fields}
         if cls.__setattr__ is object.__setattr__:
-            body = "".join(f"\n    self.{f} = {f}" for f in cls.fields)
+            scope, body = {}, "".join(f"\n    self.{f} = {f}" for f in cls.fields)
         else:
+            scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.fields}
             body = "".join(f"\n    _set_{f}(self, {f})" for f in cls.fields)
         exec(f"def __init__(self, {', '.join(cls.fields)}):{body}", scope)
         cls.__init__ = scope["__init__"]
