@@ -449,8 +449,9 @@ def trim(graph: Graph) -> Graph:
         alias[nid] = alias.get(target, target)
     kept = keep.difference(alias)
     order = sorted(kept, key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
-    edges = {(s, alias.get(d, d)) for s in kept.difference(succ) for d in succ_lists[s]}
-    edges.update((s, d) for s, out in succ.items() for d in out)
+    size = len(nodes)
+    edges = {s * size + alias.get(d, d) for s in kept.difference(succ) for d in succ_lists[s]}
+    edges.update(s * size + d for s, out in succ.items() for d in out)
     return _renumber(graph, order, edges)
 
 
@@ -459,19 +460,21 @@ def _canonicalize(graph: Graph) -> Graph:
     yields equal serialized form."""
     nodes = graph.nodes
     order = sorted(range(len(nodes)), key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
-    return _renumber(graph, order, set(graph.edges))
+    size = len(nodes)
+    return _renumber(graph, order, {s * size + d for s, d in graph.edges})
 
 
 def _renumber(graph: Graph, order: list[int], edges) -> Graph:
     """The graph of graph's nodes order[0], order[1], ..., numbered from 0,
-    with the given edges among them, sorted, and graph's roots."""
+    with the given edges among them, sorted, and graph's roots. An edge
+    is the int src * size + dst, size the number of graph's nodes, which
+    orders as the pair does and is not an object the collector tracks."""
     size = graph.num_nodes
     remap = [0] * size
     for new, old in enumerate(order):
         remap[old] = new
     nodes = graph.nodes
-    # An edge sorts as the int src * size + dst, which orders as the pair does.
-    keys = sorted([remap[s] * size + remap[d] for s, d in edges])
+    keys = sorted([remap[key // size] * size + remap[key % size] for key in edges])
     return Graph(
         name=graph.name,
         nodes=_node_list([nodes[old].kind for old in order], [nodes[old].label for old in order]),
