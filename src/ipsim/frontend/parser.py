@@ -50,18 +50,12 @@ class _Parser:
         """The current token's text if it is a keyword (``\\wire`` is an identifier)."""
         return self.text if self.kind == "keyword" else None
 
-    # accept, expect, parse_list and the lone identifier in parse_expr
-    # inline check, loc and advance (a token they match is not eof): they
-    # run for most tokens.
-
     def accept(self, text: str) -> str | None:
-        if self.text != text or self.kind not in _MARKS:
-            return None
-        self.pos = pos = self.pos + 1
-        self.kind, self.text = self.kinds[pos], self.texts[pos]
-        return text
+        return self.advance() if self.text == text and self.kind in _MARKS else None
 
     def expect(self, text: str) -> str:
+        # check and advance inline, as in parse_expr's lone identifier: the
+        # two run for most tokens. A token that matches is not eof.
         if self.text != text or self.kind not in _MARKS:
             self.error(repr(text))
         self.pos = pos = self.pos + 1
@@ -75,23 +69,20 @@ class _Parser:
 
     def expect_at(self, text: str) -> SourceLocation:
         """Expect ``text``, and return its location."""
-        loc = TokenLocation(self.lines, self.pos)
+        loc = self.loc()
         self.expect(text)
         return loc
 
     def expect_named(self) -> tuple[str, SourceLocation]:
         """An identifier's text and location."""
-        if self.kind != "ident":
-            self.error("an identifier")
-        loc = TokenLocation(self.lines, self.pos)
-        return self.advance(), loc
+        loc = self.loc()
+        return self.expect_ident(), loc
 
     def parse_list(self, parse_item) -> list:
         """One or more ``parse_item()`` results, separated by commas."""
         items = [parse_item()]
         while self.text == "," and self.kind == "op":
-            self.pos = pos = self.pos + 1
-            self.kind, self.text = self.kinds[pos], self.texts[pos]
+            self.advance()
             items.append(parse_item())
         return items
 
