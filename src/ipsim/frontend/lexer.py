@@ -125,7 +125,8 @@ def parse_number(text: str) -> int | None:
         if any(ch in "xXzZ?" for ch in digits):
             return None
         base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_char]
-        if not set(digits.lower()) <= set("0123456789abcdef"[:base]):  # int() also takes "0b"
+        # int() also takes "0b", and refuses "" (the digits of 4'h_).
+        if not digits or not set(digits.lower()) <= set("0123456789abcdef"[:base]):
             raise ValueError("a literal whose digits fit its base")
     # A value of d significant digits is at least base ** (d - 1). That is
     # tested before int(), which refuses decimal text longer than the

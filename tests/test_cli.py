@@ -181,7 +181,7 @@ def test_too_many_instances_is_an_input_error(tmp_path, capsys):
     assert "module 'm19' flattens to more than 65536 module instances" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9", "4'b0b1", "4'sB0B1"])
+@pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9", "4'b0b1", "4'sB0B1", "4'h_"])
 def test_literal_digits_outside_its_base_are_a_syntax_error(tmp_path, capsys, literal):
     src = tmp_path / "lit.v"
     src.write_text(f"module m(input [3:0] a, output [3:0] y);\n  assign y = a + {literal};\nendmodule\n")
