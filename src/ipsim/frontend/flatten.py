@@ -10,7 +10,6 @@ connections become glue assignments.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ipsim.errors import (
@@ -131,39 +130,24 @@ def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
         return None
 
     # An identifier, such as a gate terminal, needs no walk: the hook maps
-    # it without descending, and in a parameterless top it is itself.
-    if not (prefix or env or alias):
-        return lambda expr: expr if isinstance(expr, n.Ident) else n.map_expr(expr, hook)
+    # it without descending.
     return lambda expr: hook(expr, None) if isinstance(expr, n.Ident) else n.map_expr(expr, hook)
 
 
-def _instance_count(ast: n.Ast, top: str) -> int:
-    """The module instances that flattening top would create, top's
-    included, or MAX_INSTANCES + 1 if there are more. A module's count is
-    1 plus its instances' counts, found once per module from an explicit
-    stack. An unknown module counts 1 and a recursive instance 0: the
-    flattener reports both."""
-
-    def frame(name: str) -> tuple[str, list[str], Iterator[str]]:
+def _instance_count(ast: n.Ast, name: str, counts: dict[str, int]) -> int:
+    """The module instances that flattening module name would create, its
+    own included, or MAX_INSTANCES + 1 if there are more: 1 plus its
+    instances' counts, each module's found once into counts. An unknown
+    module counts 1 and a recursive instance 0: the flattener reports
+    both."""
+    if name not in counts:
         mod = ast.module(name)
-        kids = [] if mod is None else [inst.module_name for inst in mod.instances]
-        return name, kids, iter(kids)
-
-    counts: dict[str, int] = {}
-    active = {top}  # the modules on the stack
-    stack = [frame(top)]
-    while stack:
-        name, kids, pending = stack[-1]
-        for child in pending:
-            if child not in counts and child not in active:
-                active.add(child)
-                stack.append(frame(child))
-                break
-        else:
-            stack.pop()
-            active.discard(name)
-            counts[name] = min(1 + sum(counts.get(kid, 0) for kid in kids), MAX_INSTANCES + 1)
-    return counts[top]
+        if mod is None:
+            return 1
+        counts[name] = 0  # what an instance of name inside itself counts
+        total = 1 + sum(_instance_count(ast, inst.module_name, counts) for inst in mod.instances)
+        counts[name] = min(total, MAX_INSTANCES + 1)
+    return counts[name]
 
 
 class _Flattener:
@@ -175,7 +159,7 @@ class _Flattener:
         mod = self.ast.module(top)
         if mod is None:
             raise UnknownModule(top)
-        if _instance_count(self.ast, top) > MAX_INSTANCES:
+        if _instance_count(self.ast, top, {}) > MAX_INSTANCES:
             raise ElaborationError(f"module {top!r} flattens to more than {MAX_INSTANCES} module instances")
         env = _eval_params(mod, {})
         self.flat = FlatModule(name=top)

@@ -207,11 +207,11 @@ endmodule
 
 
 def test_instance_count_is_found_from_the_source():
-    assert _instance_count(parse(doubling(16)), "m15") == (1 << 16) - 1
-    assert _instance_count(parse(doubling(17)), "m16") == MAX_INSTANCES + 1
+    assert _instance_count(parse(doubling(16)), "m15", {}) == (1 << 16) - 1
+    assert _instance_count(parse(doubling(17)), "m16", {}) == MAX_INSTANCES + 1
     # A recursive instance counts nothing; the flattener reports it.
     recursive = parse("module a(input x, output y); a inner (.x(x), .y(y)); endmodule")
-    assert _instance_count(recursive, "a") == 1
+    assert _instance_count(recursive, "a", {}) == 1
 
 
 def test_too_many_instances_is_an_elaboration_error():
