@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 from ipsim.errors import (
@@ -47,12 +47,6 @@ class Node(NamedTuple):
     id: int
     kind: str
     label: str = ""
-
-
-def _node_list(kinds, labels) -> list[Node]:
-    """Node(i, kinds[i], labels[i]) for each i, each made by tuple.__new__
-    without the Python call that Node() costs."""
-    return list(map(tuple.__new__, repeat(Node), zip(count(), kinds, labels)))
 
 
 @dataclass
@@ -193,9 +187,6 @@ class _Builder:
                 self.table.add_full(name, sym)
 
     def _continuous(self, lhs: n.Expr, sym):
-        if isinstance(lhs, n.Ident):  # the common target, without the walk
-            self.table.add_full(lhs.name, sym)
-            return
         for name, hi, lo, driver in self._targets(lhs, sym, "continuous assignment target"):
             if hi is None:
                 self.table.add_full(name, driver)
@@ -376,7 +367,8 @@ class _Builder:
     def build(self, root_signals: list[str], name: str) -> Graph:
         """The raw graph: nodes in emission order, edges unsorted."""
         roots = [self._signal_node(s) for s in root_signals]
-        return Graph(name=name, nodes=_node_list(self.kinds, self.labels), edges=list(self.edges), roots=roots)
+        nodes = [Node(i, k, l) for i, (k, l) in enumerate(zip(self.kinds, self.labels))]
+        return Graph(name=name, nodes=nodes, edges=list(self.edges), roots=roots)
 
 
 def build_dfg(flat: FlatModule, trimmed: bool = True) -> Graph:
@@ -477,7 +469,7 @@ def _renumber(graph: Graph, order: list[int], edges) -> Graph:
     keys = sorted([remap[key // size] * size + remap[key % size] for key in edges])
     return Graph(
         name=graph.name,
-        nodes=_node_list([nodes[old].kind for old in order], [nodes[old].label for old in order]),
+        nodes=[Node(new, nodes[old].kind, nodes[old].label) for new, old in enumerate(order)],
         edges=list(map(divmod, keys, repeat(size))),
         roots=[remap[r] for r in graph.roots],
     )

@@ -119,15 +119,11 @@ class Node:
     def __init_subclass__(cls):
         cls.fields = cls.fields + cls.__dict__.get("__slots__", ())
         # One __init__ per type, as dataclasses make theirs (a loop over
-        # fields in a shared __init__ costs twice as much per node). An
-        # immutable type's stores go through the slot descriptors, which
-        # its __setattr__ does not see; a mutable type's are plain stores,
-        # which cost half as much.
-        if cls.__setattr__ is object.__setattr__:
-            scope, body = {}, "".join(f"\n    self.{f} = {f}" for f in cls.fields)
-        else:
-            scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.fields}
-            body = "".join(f"\n    _set_{f}(self, {f})" for f in cls.fields)
+        # fields in a shared __init__ costs twice as much per node). It
+        # stores through the slot descriptors, which an immutable type's
+        # __setattr__ does not see.
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.fields}
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in cls.fields)
         exec(f"def __init__(self, {', '.join(cls.fields)}):{body}", scope)
         cls.__init__ = scope["__init__"]
 

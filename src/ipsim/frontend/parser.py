@@ -13,8 +13,6 @@ from ipsim.frontend import nodes as n
 
 # Precedence by operator token, a four-state operator at its two-state form's.
 _PREC = {op: n.BINARY[n.FOUR_STATE.get(op, op)].prec for op in [*n.BINARY, *n.FOUR_STATE]}
-# The kinds of token that check, accept and expect match by text.
-_MARKS = ("op", "keyword")
 # Operators that, after an identifier, make it part of a larger expression.
 _EXTENDS = frozenset([*_PREC, "?", "[", ".", "("])
 
@@ -44,23 +42,19 @@ class _Parser:
         return text
 
     def check(self, text: str) -> bool:
-        return self.text == text and self.kind in _MARKS
+        return self.text == text and self.kind in ("op", "keyword")
 
     def keyword(self) -> str | None:
         """The current token's text if it is a keyword (``\\wire`` is an identifier)."""
         return self.text if self.kind == "keyword" else None
 
     def accept(self, text: str) -> str | None:
-        return self.advance() if self.text == text and self.kind in _MARKS else None
+        return self.advance() if self.check(text) else None
 
     def expect(self, text: str) -> str:
-        # check and advance inline, as in parse_expr's lone identifier: the
-        # two run for most tokens. A token that matches is not eof.
-        if self.text != text or self.kind not in _MARKS:
+        if not self.check(text):
             self.error(repr(text))
-        self.pos = pos = self.pos + 1
-        self.kind, self.text = self.kinds[pos], self.texts[pos]
-        return text
+        return self.advance()
 
     def expect_ident(self) -> str:
         if self.kind != "ident":
@@ -181,8 +175,7 @@ class _Parser:
     # --- module items ------------------------------------------------
 
     def parse_item(self, mod: n.ModuleDecl):
-        kind, text = self.kind, self.text
-        word = text if kind == "keyword" else None
+        kind, text, word = self.kind, self.text, self.keyword()
         if word in n.GATES:
             self.parse_gate(mod)
         elif word in ("input", "output", "inout"):
@@ -351,7 +344,7 @@ class _Parser:
     def parse_gate(self, mod: n.ModuleDecl):
         gate = self.advance()
         while True:
-            inst_name = self.advance() if self.kind == "ident" else None
+            inst_name = self.expect_ident() if self.kind == "ident" else None
             loc = self.expect_at("(")
             terms = self.parse_list(self.parse_expr)
             self.expect(")")
@@ -418,13 +411,8 @@ class _Parser:
         return self.parse_postfix(n.Ident(loc, name))
 
     def parse_expr(self) -> n.Expr:
-        pos = self.pos
-        if self.kind == "ident" and (self.kinds[pos + 1] != "op" or self.texts[pos + 1] not in _EXTENDS):
-            # A lone identifier, such as a gate terminal.
-            ident = n.Ident(TokenLocation(self.lines, pos), self.text)
-            self.pos = pos = pos + 1
-            self.kind, self.text = self.kinds[pos], self.texts[pos]
-            return ident
+        if self.kind == "ident" and not (self.kinds[self.pos + 1] == "op" and self.texts[self.pos + 1] in _EXTENDS):
+            return n.Ident(self.loc(), self.advance())  # a lone identifier, such as a gate terminal
         left = self.parse_binary(0)
         if self.text == "?" and self.kind == "op":
             self.advance()
@@ -517,11 +505,8 @@ class _Parser:
 def _resolve_module(mod: n.ModuleDecl, path: str):
     """Check identifier resolution, inserting implicit 1-bit wires where the
     standard allows them (simple names in port connections and assign LHS)."""
-    items: dict[type, list] = {kind: [] for kind in n.Item.__args__}  # the items by type, in one pass
-    for item in mod.items:
-        items[type(item)].append(item)
     declared = {p.name for p in mod.ports}
-    declared.update(d.name for d in items[n.NetDecl])
+    declared.update(d.name for d in mod.nets)
     declared.update(p.name for p in mod.params)
 
     def implicit(name: str, loc: SourceLocation):
@@ -529,15 +514,15 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             declared.add(name)
             mod.items.append(n.NetDecl(name, "wire", None, loc))
 
-    for inst in items[n.Instance]:
+    for inst in mod.instances:
         for _, expr in inst.connections:
-            if isinstance(expr, n.Ident) and expr.name not in declared:
+            if isinstance(expr, n.Ident):
                 implicit(expr.name, expr.loc)
-    for gate in items[n.GateInstance]:
+    for gate in mod.gates:
         for expr in gate.terminals:
-            if isinstance(expr, n.Ident) and expr.name not in declared:
+            if isinstance(expr, n.Ident):
                 implicit(expr.name, expr.loc)
-    for assign in items[n.ContinuousAssign]:
+    for assign in mod.assigns:
         for e in n.iter_expr(assign.lhs):
             if isinstance(e, n.Ident):
                 implicit(e.name, e.loc)
@@ -549,21 +534,21 @@ def _resolve_module(mod: n.ModuleDecl, path: str):
             if isinstance(e, n.Ident) and e.name not in declared:
                 raise UnresolvedIdentifier(e.name, e.loc)
 
-    for assign in items[n.ContinuousAssign]:
+    for assign in mod.assigns:
         check_expr(assign.rhs)
-    for blk in items[n.AlwaysBlock]:
+    for blk in mod.always_blocks:
         if blk.sensitivity:
             for item in blk.sensitivity:
                 if item.signal not in declared:
                     raise UnresolvedIdentifier(item.signal, blk.loc)
         for expr in n.stmt_exprs(blk.body):
             check_expr(expr)
-    for inst in items[n.Instance]:
+    for inst in mod.instances:
         for _, expr in inst.connections:
             check_expr(expr)
         for _, expr in inst.param_overrides:
             check_expr(expr)
-    for gate in items[n.GateInstance]:
+    for gate in mod.gates:
         for expr in gate.terminals:
             if not isinstance(expr, n.Ident):  # the implicit pass declared the others
                 check_expr(expr)
