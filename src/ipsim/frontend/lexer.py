@@ -32,19 +32,14 @@ _RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
 # first, so that a match takes "<<<" before "<<" and "<".
 _OPS = sorted({*BINARY, *FOUR_STATE, *UNARY, *"=?:;,.()[]{}@#"}, key=lambda op: (-len(op), op))
 
-# Single characters that start no longer operator, such as "(" and ";".
-_LONE = "".join(op for op in _OPS if len(op) == 1 and not any(o != op and o.startswith(op) for o in _OPS))
-
-# Each match skips blanks, then captures one token: an identifier, a lone
-# character (tried second, since it is the next most common token), a
-# real, a based or plain number, an escaped identifier, a system name, an
+# Each match skips blanks, then captures one token: an identifier, a real,
+# a based or plain number, an escaped identifier, a system name, an
 # operator, a character that starts no token, or the empty text at the end.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|[" + re.escape(_LONE) + r"]"
-    r"|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
+    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
     r"|\d[\d_]*|\\\S+|\$[A-Za-z_][A-Za-z0-9_$]*|"
     + "".join(re.escape(op) + "|" for op in _OPS if len(op) > 1)
-    + "[" + re.escape("".join(op for op in _OPS if len(op) == 1 and op not in _LONE)) + r"]|.|\Z)"
+    + "[" + re.escape("".join(op for op in _OPS if len(op) == 1)) + r"]|.|\Z)"
 )
 # A token's kind by its whole text, else by its first character.
 _KIND_BY_TEXT = {**dict.fromkeys(_OPS, "op"), **dict.fromkeys(_RESERVED, "keyword"),

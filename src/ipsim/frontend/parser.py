@@ -13,8 +13,6 @@ from ipsim.frontend import nodes as n
 
 # Precedence by operator token, a four-state operator at its two-state form's.
 _PREC = {op: n.BINARY[n.FOUR_STATE.get(op, op)].prec for op in [*n.BINARY, *n.FOUR_STATE]}
-# Operators that, after an identifier, make it part of a larger expression.
-_EXTENDS = frozenset([*_PREC, "?", "[", ".", "("])
 
 
 class _Parser:
@@ -411,8 +409,6 @@ class _Parser:
         return self.parse_postfix(n.Ident(loc, name))
 
     def parse_expr(self) -> n.Expr:
-        if self.kind == "ident" and not (self.kinds[self.pos + 1] == "op" and self.texts[self.pos + 1] in _EXTENDS):
-            return n.Ident(self.loc(), self.advance())  # a lone identifier, such as a gate terminal
         left = self.parse_binary(0)
         if self.text == "?" and self.kind == "op":
             self.advance()
