@@ -310,8 +310,9 @@ class _Builder:
                                      self._conv(expr.false, env)))
         if isinstance(expr, n.Concat):
             return _Sym("Concat", "", tuple(self._conv(p, env) for p in expr.parts))
-        if isinstance(expr, n.Repeat):
-            return _Sym("Concat", "", tuple(self._conv(p, env) for p in expr.parts))
+        if isinstance(expr, n.Repeat):  # labelled with its count, folded by flatten
+            return _Sym("Concat", f"{{{expr.count.value}}}",
+                        tuple(self._conv(p, env) for p in expr.parts))
         if isinstance(expr, n.BitSelect):
             base = self._conv(expr.base, env)
             if isinstance(expr.index, n.Number) and expr.index.value is not None:

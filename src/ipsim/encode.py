@@ -8,26 +8,51 @@ backward steps share (``ipsim.model.Buffers``).
 The message passing operator is the symmetric degree-normalized
 adjacency with self loops, in float64. ``propagation`` gives every such
 matrix, of one graph or of a pack, its form: dense up to
-``SPARSE_THRESHOLD`` rows, CSR past it, so netlist-sized designs stay
-cheap and scipy loads only for a CSR. ``pack`` lays a list of graphs out
-as one block-diagonal batch (stacked features, one propagation matrix,
-segment offsets) and ``take`` gathers a sub-batch of a pack, so training
-embeds a mini-batch in one model pass.
+``SPARSE_THRESHOLD`` rows, a ``CSR`` of plain arrays past it, so
+netlist-sized designs stay cheap. ``propagate`` is the one product P X
+of either form. ``pack`` lays a list of graphs out as one block-diagonal
+batch (stacked features, one propagation matrix, segment offsets) and
+``take`` gathers a sub-batch of a pack, so training embeds a mini-batch
+in one model pass.
+
+A CSR product runs scipy's compiled kernel, ``csr_matvecs``, the one
+that ``scipy.sparse`` multiplies with. It is loaded on its own, from
+scipy's directory, without importing scipy or ``scipy.sparse``: that
+import costs more time and memory than the products of a netlist compare.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ipsim.dfg import KIND_INDEX, NODE_KINDS, Graph
-from ipsim.errors import EmptyGraph
+from ipsim.errors import EmptyGraph, ShapeMismatch
 
 VOCAB_VERSION = "kinds-v1.36"
 FEATURE_DIM = len(NODE_KINDS)
-SPARSE_THRESHOLD = 192  # rows: dense embeds win up to here, CSR ones from about 220
+# Rows. CSR embeds of ladder netlists win from about 100 rows; the
+# threshold stays at 192, where the benchmark's ladder rungs are split.
+SPARSE_THRESHOLD = 192
+
+
+class CSR(NamedTuple):
+    """A sparse matrix in compressed sparse row form: row r holds
+    ``data[indptr[r]:indptr[r + 1]]`` at columns ``indices[...]`` of the
+    same range. Both index arrays are int64."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
 
 @dataclass
@@ -36,7 +61,7 @@ class GraphTensors:
 
     name: str
     x: np.ndarray                      # (n, FEATURE_DIM) one-hot kinds, bool
-    p: object                          # (n, n) normalized adjacency, symmetric: ndarray or CSR
+    p: np.ndarray | CSR                # (n, n) normalized adjacency, symmetric
     offsets: np.ndarray | None = None  # packs only: each graph's first row, then n
 
     @property
@@ -93,11 +118,43 @@ def propagation(counts: np.ndarray, cols: np.ndarray, values: np.ndarray):
     columns and values: dense up to ``SPARSE_THRESHOLD`` rows, CSR past it."""
     size = len(counts)
     if size > SPARSE_THRESHOLD:
-        import scipy.sparse as sp  # here alone: loading it outweighs a small design's work
-        return sp.csr_matrix((values, cols, _pointers(counts)), shape=(size, size))
+        return CSR(_pointers(counts), cols.astype(np.int64, copy=False), values, (size, size))
     p = np.zeros((size, size))
     p[np.repeat(np.arange(size), counts), cols] = values
     return p
+
+
+@functools.cache
+def _csr_matvecs():
+    """scipy's CSR times dense kernel: the loaded ``scipy.sparse``'s own
+    if there is one, else its extension module loaded alone."""
+    module = sys.modules.get("scipy.sparse._sparsetools")
+    if module is None:
+        dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            "_sparsetools", [os.path.join(d, "sparse") for d in dirs])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.csr_matvecs
+
+
+def propagate(p, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P X for a dense or CSR propagation matrix, written into ``out``,
+    shaped as P X. A CSR may be scipy's: the product reads only its
+    ``indptr``, ``indices``, ``data`` and ``shape``. As scipy's own
+    product does, it zeroes the result and has ``csr_matvecs`` add P X
+    into it, so the values are those of scipy's ``p @ x`` bit for bit.
+    The kernel writes through a flat view of ``out``, so a CSR product
+    needs ``out`` C-contiguous."""
+    if isinstance(p, np.ndarray):
+        return np.matmul(p, x, out=out)
+    rows, cols = p.shape
+    if x.shape[0] != cols or out.shape != (rows, x.shape[1]) or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"P {p.shape} times X {x.shape} needs a C-contiguous "
+                            f"{(rows, x.shape[1])} out, got {out.shape}")
+    out.fill(0.0)
+    _csr_matvecs()(rows, cols, x.shape[1], p.indptr, p.indices, p.data, x.ravel(), out.ravel())
+    return out
 
 
 def _nonzeros(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,8 +10,9 @@ Both run on one graph or on a pack of graphs (``ipsim.encode.pack``):
 a block-diagonal propagation matrix keeps the graphs apart in the
 convolutions, and the segment offsets keep them apart in pooling and
 readout. The matrix is dense, or CSR past ``encode.SPARSE_THRESHOLD``
-rows; only a CSR product loads scipy. A single graph is a batch of one
-whose embedding is a vector; a pack gives one embedding row per graph.
+rows, and ``encode.propagate`` multiplies either form. A single graph is
+a batch of one whose embedding is a vector; a pack gives one embedding
+row per graph.
 
 Every pass writes into ``Buffers``: the caller's, which a training loop
 reuses from batch to batch, or new ones sized to the graph. The cache
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ipsim.encode import FEATURE_DIM, GraphTensors
+from ipsim.encode import FEATURE_DIM, GraphTensors, propagate
 from ipsim.errors import ConfigError, ShapeMismatch
 
 READOUTS = ("max", "mean", "sum")
@@ -99,21 +100,6 @@ def init_params(hyper: Hyper, seed: int = 0) -> ModelParams:
     return ModelParams(np.concatenate([glorot(*shape).ravel() for shape in shapes]), shapes)
 
 
-def _propagate(p, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """P X for a dense or CSR propagation matrix, written into ``out``
-    (C-contiguous float64, shaped as X). scipy's product takes no
-    ``out``: it zeroes a new array and has ``csr_matvecs`` add P X into
-    it. Here that array is ``out``, so the values are those of ``p @ x``
-    bit for bit."""
-    if isinstance(p, np.ndarray):
-        return np.matmul(p, x, out=out)
-    from scipy.sparse import _sparsetools  # csr_matvecs: scipy's own P @ X kernel
-    out.fill(0.0)
-    _sparsetools.csr_matvecs(*p.shape, x.shape[1], p.indptr, p.indices, p.data,
-                             x.ravel(), out.ravel())
-    return out
-
-
 def gcn_layer(p, x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:
     """One propagation step, relu(P X W). The result goes to ``out`` and
@@ -122,7 +108,7 @@ def gcn_layer(p, x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
         raise ShapeMismatch(f"features {x.shape} incompatible with weight {w.shape}")
     xw = np.matmul(x, w, out=scratch)
     out = np.empty_like(xw) if out is None else out
-    return np.maximum(_propagate(p, xw, out), 0.0, out=out)
+    return np.maximum(propagate(p, xw, out), 0.0, out=out)
 
 
 @dataclass
@@ -164,7 +150,7 @@ def top_k_indices(alpha: np.ndarray, ratio: float,
 def sag_pool(p, x: np.ndarray, score: np.ndarray, ratio: float,
              offsets: np.ndarray | None = None) -> PoolResult:
     xs = x @ score
-    alpha = _propagate(p, xs, np.empty_like(xs)).ravel()
+    alpha = propagate(p, xs, np.empty_like(xs)).ravel()
     sel = top_k_indices(alpha, ratio, offsets)
     gate = np.tanh(alpha[sel])
     kept = None if offsets is None else np.searchsorted(sel, offsets)
@@ -316,7 +302,7 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
     # step propagates its output gradient once. Every gradient entry is
     # written below.
     grads = ModelParams(np.empty_like(params.flat), params.shapes)
-    d_prop = _propagate(gt.p, d_alpha, np.empty_like(d_alpha))
+    d_prop = propagate(gt.p, d_alpha, np.empty_like(d_alpha))
     np.matmul(cache.hidden[-1].T, d_prop, out=grads.score)
     d_h = np.multiply(d_prop, params.score.ravel(), out=rows.grad)
     d_xpool *= pool.gate[:, None]
@@ -330,7 +316,7 @@ def backward(params: ModelParams, hyper: Hyper, cache: ForwardCache,
         # h_{l+1} > 0 where the relu is active and the unit was kept;
         # dropped units are zero in d_h already, so this is the relu gate.
         d_h *= cache.hidden[l + 1] > 0.0
-        d_prop = _propagate(gt.p, d_h, rows.scratch)
+        d_prop = propagate(gt.p, d_h, rows.scratch)
         np.matmul(cache.hidden[l].T, d_prop, out=grads.weights[l])
         if l:  # the features need no gradient
             d_h = np.matmul(d_prop, params.weights[l].T, out=rows.grad)

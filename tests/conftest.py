@@ -41,6 +41,15 @@ def doubling(levels: int) -> str:
     return "".join(mods)
 
 
+def densify(p) -> np.ndarray:
+    """A propagation matrix, dense or CSR, as a dense array."""
+    if isinstance(p, np.ndarray):
+        return p
+    out = np.zeros(p.shape)
+    out[np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)), p.indices] = p.data
+    return out
+
+
 @pytest.fixture
 def full_adder_graph():
     from ipsim.pipeline import compile_text

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from conftest import CORPUS_ROOT, FULL_ADDER, doubling, flat_xor
 from ipsim.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from ipsim.model import Hyper, ModelParams, init_params
 from ipsim.train import load_checkpoint, save_checkpoint
+from test_scanners import PERFBENCH
 from test_train import MALFORMED_HEADERS, doctor_header
 
 FAMILIES = {
@@ -544,21 +546,28 @@ def test_eval_sources_agree(corpus, tmp_path, capsys):
     assert max(abs(x - y) for x, y in zip(*scores)) <= 1e-12
 
 
-def test_compare_of_corpus_designs_does_not_load_scipy(tmp_path):
+def test_compare_of_corpus_designs_does_not_load_scipy(tmp_path, monkeypatch):
     # Two corpus designs pack to fewer than SPARSE_THRESHOLD rows, so to
-    # a dense matrix: the compare needs no scipy, whose import would
-    # outweigh its work.
+    # a dense matrix; two 32-bit ladder adders pack past it, to a CSR,
+    # whose product loads scipy's compiled kernel alone. Neither compare
+    # imports scipy, whose import would outweigh its work.
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, init_params(Hyper(), 0), Hyper())
-    designs = [str(CORPUS_ROOT / "adder8" / name) for name in ("behav8.v", "rca8.v")]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ladder = importlib.import_module("ladder")
+    netlists = [tmp_path / f"adder_{seed}.v" for seed in (0, 1)]
+    for seed, path in enumerate(netlists):
+        path.write_text(ladder.adder(32, seed).text)
     script = ("import sys\n"
               "from ipsim.cli import main\n"
               "code = main(['compare', *sys.argv[1:]])\n"
-              "print(code, 'scipy' in sys.modules)\n")
+              "print(code, 'scipy' in sys.modules, 'scipy.sparse' in sys.modules)\n")
     src_root = str(Path(ipsim.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script, *designs, "--checkpoint", str(ckpt)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    for designs in ([CORPUS_ROOT / "adder8" / name for name in ("behav8.v", "rca8.v")], netlists):
+        run = subprocess.run([sys.executable, "-c", script, *map(str, designs),
+                              "--checkpoint", str(ckpt)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"{EXIT_OK} False False"

@@ -397,6 +397,15 @@ def test_select_labels_anchor_isomorphism():
     assert not is_isomorphic(a, b)
 
 
+def test_replication_count_anchors_isomorphism():
+    text = "module m(input [3:0] a, output [11:0] y); assign y = {%s{a}}; endmodule"
+    two, three, folded = (compile_text(text % count) for count in ("2", "3", "1 + 2"))
+    assert serialize(two) != serialize(three)
+    assert not is_isomorphic(two, three)
+    assert serialize(folded) == serialize(three)
+    assert [node.label for node in three.nodes if node.kind == "Concat"] == ["{3}"]
+
+
 def timed_isomorphic(a: Graph, b: Graph) -> tuple[bool, float]:
     start = time.perf_counter()
     return is_isomorphic(a, b), time.perf_counter() - start

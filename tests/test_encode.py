@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipsim.encode
-from conftest import graph_from_edges, random_graph_edges
+from conftest import densify, graph_from_edges, random_graph_edges
 from ipsim.dfg import KIND_INDEX
 from ipsim.encode import (
     FEATURE_DIM,
+    CSR,
     SPARSE_THRESHOLD,
     VOCAB_VERSION,
     adjacency,
     encode,
     normalize_adjacency,
     one_hot_features,
+    pack,
+    propagate,
+    take,
 )
-from ipsim.errors import EmptyGraph
+from ipsim.errors import EmptyGraph, ShapeMismatch
 from ipsim.model import Hyper, embed, init_params
 from ipsim.pipeline import compile_text
 from reference import normalized_propagation_reference
@@ -105,9 +110,47 @@ def test_encode_sparse_above_threshold():
     edges = [(i, i + 1) for i in range(n - 1)]
     g = graph_from_edges("big", edges, n)
     gt = encode(g)
-    assert gt.is_sparse and sp.issparse(gt.p)
+    assert gt.is_sparse and isinstance(gt.p, CSR)
+    assert gt.p.indptr.dtype == gt.p.indices.dtype == np.int64
     ref = np.array(normalized_propagation_reference(edges, n))
-    np.testing.assert_allclose(gt.p.toarray(), ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(densify(gt.p), ref, rtol=0, atol=1e-15)
+
+
+def csr_products(seed: int):
+    """(P X, scipy's P @ X) for the CSRs that encode, pack and take
+    give, with X of three widths."""
+    rng = np.random.default_rng(seed)
+    gts = [encode(graph_from_edges(f"g{i}", random_graph_edges(rng, size), size))
+           for i, size in enumerate((260, 17, 40, 310))]
+    packed = pack(gts)
+    for p in (gts[0].p, packed.p, take(packed, np.array([3, 1, 0])).p):
+        assert isinstance(p, CSR)
+        for width in (1, 5, 16):
+            x = rng.standard_normal((p.shape[1], width))
+            want = sp.csr_matrix((p.data, p.indices, p.indptr), shape=p.shape) @ x
+            yield propagate(p, x, np.full((p.shape[0], width), np.nan)), want
+
+
+def test_csr_product_is_scipys_bit_for_bit(monkeypatch):
+    for got, want in csr_products(0):
+        np.testing.assert_array_equal(got, want)
+    # The kernel as it loads when scipy.sparse is not imported.
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    alone = ipsim.encode._csr_matvecs.__wrapped__()
+    assert alone.__module__ == "_sparsetools"
+    monkeypatch.setattr(ipsim.encode, "_csr_matvecs", lambda: alone)
+    for got, want in csr_products(1):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_csr_product_refuses_shapes_that_do_not_fit():
+    gt = encode(graph_from_edges("chain", [(i, i + 1) for i in range(299)], 300))
+    x = np.ones((300, 16))
+    for out in (np.zeros((299, 16)), np.zeros((300, 8))):
+        with pytest.raises(ShapeMismatch):
+            propagate(gt.p, x, out)
+    with pytest.raises(ShapeMismatch):
+        propagate(gt.p, np.ones((299, 16)), np.zeros((300, 16)))
 
 
 def test_sparse_path_embeds_as_dense_one_node_past_threshold(monkeypatch):

@@ -55,6 +55,21 @@ def test_gcn_layer_shape_mismatch():
         gcn_layer(gt.p, np.ones((2, 3)), np.ones((4, 2)))
 
 
+def test_gcn_layer_refuses_an_out_a_csr_product_cannot_write_through():
+    # The CSR kernel writes through a flat view of ``out``; a column
+    # slice has none, and a copy would lose the product.
+    gt = encode(graph_from_edges("chain", [(i, i + 1) for i in range(299)], 300))
+    assert gt.is_sparse
+    rng = np.random.default_rng(3)
+    x, w = rng.standard_normal((300, 5)), rng.standard_normal((5, 16))
+    with pytest.raises(ShapeMismatch):
+        gcn_layer(gt.p, x, w, out=np.zeros((300, 32))[:, :16])
+    dense = encode(graph_from_edges("chain", [(i, i + 1) for i in range(99)], 100))
+    out = np.zeros((100, 32))[:, :16]
+    np.testing.assert_allclose(gcn_layer(dense.p, x[:100], w, out=out),
+                               np.maximum(dense.p @ (x[:100] @ w), 0.0), rtol=1e-12, atol=0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=20),

@@ -3,12 +3,11 @@ run on each graph alone (a batch of one)."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import gradcheck
-from conftest import graph_from_edges, random_graph_edges
+from conftest import densify, graph_from_edges, random_graph_edges
 from ipsim.detect import cosine_similarity
-from ipsim.encode import SPARSE_THRESHOLD, encode, pack, take
+from ipsim.encode import CSR, SPARSE_THRESHOLD, encode, pack, take
 from ipsim.errors import NonFiniteLoss, ShapeMismatch
 from ipsim.model import (
     Buffers,
@@ -152,16 +151,12 @@ def test_top_k_per_segment_matches_reference():
         [0, 1, 3, 4])
 
 
-def dense(p) -> np.ndarray:
-    return p if isinstance(p, np.ndarray) else p.toarray()
-
-
 def block_diagonal(gts: list) -> np.ndarray:
     out = np.zeros((sum(gt.num_nodes for gt in gts),) * 2)
     first = 0
     for gt in gts:
         last = first + gt.num_nodes
-        out[first:last, first:last] = dense(gt.p)
+        out[first:last, first:last] = densify(gt.p)
         first = last
     return out
 
@@ -171,8 +166,8 @@ def test_pack_is_dense_up_to_the_threshold_and_csr_past_it():
         gts = [chain("a", 100), chain("b", SPARSE_THRESHOLD - 100 + extra)]
         packed = pack(gts)
         assert packed.num_nodes == SPARSE_THRESHOLD + extra
-        assert packed.is_sparse is sparse and sp.issparse(packed.p) is sparse
-        np.testing.assert_array_equal(dense(packed.p), block_diagonal(gts))
+        assert packed.is_sparse is sparse and isinstance(packed.p, CSR) is sparse
+        np.testing.assert_array_equal(densify(packed.p), block_diagonal(gts))
 
 
 @pytest.mark.parametrize("members, which, sparse", [
@@ -189,8 +184,8 @@ def test_take_equals_packing_the_subset(members, which, sparse):
     np.testing.assert_array_equal(got.offsets, want.offsets)
     np.testing.assert_array_equal(got.x, want.x)
     assert got.is_sparse is want.is_sparse is sparse
-    np.testing.assert_array_equal(dense(got.p), dense(want.p))
-    np.testing.assert_array_equal(dense(got.p), block_diagonal([gts[i] for i in which]))
+    np.testing.assert_array_equal(densify(got.p), densify(want.p))
+    np.testing.assert_array_equal(densify(got.p), block_diagonal([gts[i] for i in which]))
 
 
 def test_evaluate_scores_match_single_graph_embeddings():
