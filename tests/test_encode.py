@@ -24,7 +24,7 @@ from ipsim.encode import (
     propagate,
     take,
 )
-from ipsim.errors import EmptyGraph, ShapeMismatch
+from ipsim.errors import EmptyGraph
 from ipsim.model import Hyper, embed, init_params
 from ipsim.pipeline import compile_text
 from reference import normalized_propagation_reference
@@ -141,16 +141,6 @@ def test_csr_product_is_scipys_bit_for_bit(monkeypatch):
     monkeypatch.setattr(ipsim.encode, "_csr_matvecs", lambda: alone)
     for got, want in csr_products(1):
         np.testing.assert_array_equal(got, want)
-
-
-def test_csr_product_refuses_shapes_that_do_not_fit():
-    gt = encode(graph_from_edges("chain", [(i, i + 1) for i in range(299)], 300))
-    x = np.ones((300, 16))
-    for out in (np.zeros((299, 16)), np.zeros((300, 8))):
-        with pytest.raises(ShapeMismatch):
-            propagate(gt.p, x, out)
-    with pytest.raises(ShapeMismatch):
-        propagate(gt.p, np.ones((299, 16)), np.zeros((300, 16)))
 
 
 def test_sparse_path_embeds_as_dense_one_node_past_threshold(monkeypatch):

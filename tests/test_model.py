@@ -56,14 +56,17 @@ def test_gcn_layer_shape_mismatch():
 
 
 def test_gcn_layer_refuses_an_out_a_csr_product_cannot_write_through():
-    # The CSR kernel writes through a flat view of ``out``; a column
-    # slice has none, and a copy would lose the product.
+    # The CSR kernel writes through a flat view of ``out`` and checks no
+    # shape: a column slice has no flat view, so a copy would lose the
+    # product, and a misfit shape would be read or written past its end.
     gt = encode(graph_from_edges("chain", [(i, i + 1) for i in range(299)], 300))
     assert gt.is_sparse
     rng = np.random.default_rng(3)
     x, w = rng.standard_normal((300, 5)), rng.standard_normal((5, 16))
-    with pytest.raises(ShapeMismatch):
-        gcn_layer(gt.p, x, w, out=np.zeros((300, 32))[:, :16])
+    for rows, out in ((x, np.zeros((300, 32))[:, :16]), (x, np.zeros((300, 8))),
+                      (x, np.zeros((299, 16))), (x[:299], np.zeros((300, 16)))):
+        with pytest.raises(ShapeMismatch):
+            gcn_layer(gt.p, rows, w, out=out)
     dense = encode(graph_from_edges("chain", [(i, i + 1) for i in range(99)], 100))
     out = np.zeros((100, 32))[:, :16]
     np.testing.assert_allclose(gcn_layer(dense.p, x[:100], w, out=out),
