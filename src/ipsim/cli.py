@@ -32,7 +32,7 @@ from ipsim.frontend.preprocess import read_source
 from ipsim.model import Hyper, embed
 from ipsim.pipeline import compile_design
 from ipsim.project import pca_project, projection_csv
-from ipsim.train import TrainConfig, fit, load_checkpoint, score_pairs, write_trace
+from ipsim.train import OPTIMIZERS, TrainConfig, fit, load_checkpoint, score_pairs, write_trace
 from ipsim.variants import synthesize_variants
 
 EXIT_OK = 0
@@ -320,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=50)
     p_train.add_argument("--batch-size", type=int, default=64)
     p_train.add_argument("--lr", type=float, default=0.001)
-    p_train.add_argument("--optimizer", choices=("sgd", "momentum", "adam"),
-                         default="sgd")
+    p_train.add_argument("--optimizer", choices=OPTIMIZERS, default="sgd")
     p_train.add_argument("--margin", type=float, default=0.5)
     p_train.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p_train.add_argument("--seed", type=int, default=0)

@@ -147,7 +147,6 @@ def load_graphs(entries: list[DesignEntry], on_skip=None) -> dict[str, Graph]:
 @dataclass
 class Corpus:
     entries: list[DesignEntry]          # the designs that compiled, in order
-    graphs: dict[str, Graph]
     tensors: dict[str, GraphTensors]
     mix_abstractions: bool = False
 
@@ -165,7 +164,7 @@ def load_corpus(entries: list[DesignEntry], mix_abstractions: bool = False,
     graphs = load_graphs(entries, on_skip=on_skip)
     kept = [e for e in entries if e.name in graphs]
     tensors = {name: encode(g) for name, g in graphs.items()}
-    return Corpus(kept, graphs, tensors, mix_abstractions)
+    return Corpus(kept, tensors, mix_abstractions)
 
 
 def make_pairs(families: list[DesignFamily],

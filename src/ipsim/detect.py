@@ -63,10 +63,7 @@ def sweep_delta(labels: list[int], scores: list[float]) -> tuple[float, float]:
     """The delta on the centi-grid -0.99..0.99 that maximizes the accuracy
     of score > delta against +1/-1 labels; ties go to the smaller delta.
     Returns (delta, accuracy)."""
-    best_delta, best_acc = 0.0, -1.0
-    for i in range(199):
-        delta = round(-0.99 + 0.01 * i, 2)
-        acc = sum((l == 1) == (s > delta) for l, s in zip(labels, scores)) / len(labels)
-        if acc > best_acc:
-            best_delta, best_acc = delta, acc
-    return best_delta, best_acc
+    grid = np.arange(-99, 100) / 100
+    correct = ((np.asarray(scores) > grid[:, None]) == (np.asarray(labels) == 1)).sum(axis=1)
+    best = int(np.argmax(correct))  # the first of the best, so the smallest delta
+    return float(grid[best]), int(correct[best]) / len(labels)

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
-from ipsim.errors import (
-    DfgError,
-    DfgFormatError,
-    MultipleContinuousDrivers,
-    UndrivenSignal,
-)
+from ipsim.errors import DfgError, MultipleContinuousDrivers, UndrivenSignal
 from ipsim.frontend import nodes as n
 from ipsim.frontend.flatten import FlatModule
 
@@ -224,8 +219,6 @@ class _Builder:
         if not isinstance(sel.base, n.Ident):
             raise DfgError(f"{sel.loc}: select target must be a plain signal")
         hi, lo = sel.msb.value, sel.lsb.value
-        if hi is None or lo is None:
-            raise DfgError(f"{sel.loc}: part-select bounds must be constant")
         return sel.base.name, max(hi, lo), min(hi, lo)
 
     # --- symbolic walk of procedural code -------------------------------
@@ -478,69 +471,18 @@ def _renumber(graph: Graph, order: list[int], edges) -> Graph:
 
 # --- serialization ----------------------------------------------------------
 
-FORMAT_NAME = "ipsim-dfg"
-FORMAT_VERSION = 1
 
-
-def graph_to_dict(graph: Graph) -> dict:
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
+def serialize(graph: Graph) -> str:
+    """The graph as one line of JSON. The format is written, never read
+    back: no command reads a graph document."""
+    return json.dumps({
+        "format": "ipsim-dfg",
+        "version": 1,
         "name": graph.name,
         "nodes": [{"id": nd.id, "kind": nd.kind, "label": nd.label} for nd in graph.nodes],
         "edges": [[s, d] for s, d in graph.edges],
         "roots": list(graph.roots),
-    }
-
-
-def graph_from_dict(data: dict) -> Graph:
-    if not isinstance(data, dict):
-        raise DfgFormatError("graph document must be a JSON object")
-    if data.get("format") != FORMAT_NAME:
-        raise DfgFormatError(f"not a {FORMAT_NAME} document")
-    if data.get("version") != FORMAT_VERSION:
-        raise DfgFormatError(f"unsupported format version {data.get('version')!r}")
-    try:
-        raw_nodes = data["nodes"]
-        raw_edges = data["edges"]
-        raw_roots = data["roots"]
-        name = data["name"]
-    except KeyError as exc:
-        raise DfgFormatError(f"missing field {exc.args[0]!r}")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        try:
-            nid, kind, label = raw["id"], raw["kind"], raw["label"]
-        except (KeyError, TypeError):
-            raise DfgFormatError(f"malformed node record at index {i}")
-        if nid != i:
-            raise DfgFormatError(f"node ids must be contiguous, got {nid} at index {i}")
-        if kind not in KIND_INDEX:
-            raise DfgFormatError(f"unknown node kind {kind!r}")
-        nodes.append(Node(nid, kind, label))
-    count = len(nodes)
-    edges = []
-    for raw in raw_edges:
-        if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-                or not all(isinstance(v, int) and 0 <= v < count for v in raw)):
-            raise DfgFormatError(f"malformed edge {raw!r}")
-        edges.append((raw[0], raw[1]))
-    for r in raw_roots:
-        if not isinstance(r, int) or not 0 <= r < count:
-            raise DfgFormatError(f"root {r!r} out of range")
-    return Graph(name=name, nodes=nodes, edges=edges, roots=list(raw_roots))
-
-
-def serialize(graph: Graph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=None, separators=(",", ":"))
-
-
-def deserialize(text: str) -> Graph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DfgFormatError(f"invalid JSON: {exc}")
-    return graph_from_dict(data)
+    }, separators=(",", ":"))
 
 
 # --- isomorphism ------------------------------------------------------------

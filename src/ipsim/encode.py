@@ -59,7 +59,6 @@ class CSR(NamedTuple):
 class GraphTensors:
     """Model-ready view of one graph, or of a packed batch of graphs."""
 
-    name: str
     x: np.ndarray                      # (n, FEATURE_DIM) one-hot kinds, bool
     p: np.ndarray | CSR                # (n, n) normalized adjacency, symmetric
     offsets: np.ndarray | None = None  # packs only: each graph's first row, then n
@@ -166,8 +165,7 @@ def _nonzeros(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def encode(graph: Graph) -> GraphTensors:
     """Lower a graph to (features, propagation matrix)."""
-    return GraphTensors(name=graph.name, x=one_hot_features(graph),
-                        p=normalize_adjacency(adjacency(graph)))
+    return GraphTensors(x=one_hot_features(graph), p=normalize_adjacency(adjacency(graph)))
 
 
 def pack(tensors: list[GraphTensors]) -> GraphTensors:
@@ -177,8 +175,7 @@ def pack(tensors: list[GraphTensors]) -> GraphTensors:
     p = propagation(np.concatenate([counts for counts, _, _ in parts]),
                     np.concatenate([c + first for (_, c, _), first in zip(parts, offsets)]),
                     np.concatenate([v for _, _, v in parts]))
-    return GraphTensors(name="pack", x=np.concatenate([t.x for t in tensors]), p=p,
-                        offsets=offsets)
+    return GraphTensors(x=np.concatenate([t.x for t in tensors]), p=p, offsets=offsets)
 
 
 def take(packed: GraphTensors, which: np.ndarray) -> GraphTensors:
@@ -196,4 +193,4 @@ def take(packed: GraphTensors, which: np.ndarray) -> GraphTensors:
     kept = _pointers(counts)
     src = np.arange(kept[-1]) + np.repeat(first - kept[:-1], counts)
     p = propagation(counts, cols[src] - np.repeat(shift, counts), values[src])
-    return GraphTensors(name=packed.name, x=packed.x[rows], p=p, offsets=offsets)
+    return GraphTensors(x=packed.x[rows], p=p, offsets=offsets)

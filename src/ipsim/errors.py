@@ -129,10 +129,6 @@ class UndrivenSignal(DfgError):
         super().__init__(f"signal {signal!r} has no driver and is not an input")
 
 
-class DfgFormatError(DfgError):
-    """Malformed DFG document or unknown node kind string."""
-
-
 class EmptyGraph(IpsimError):
     pass
 

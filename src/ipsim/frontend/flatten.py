@@ -109,9 +109,16 @@ def _resolve_width(width: n.Range | None, env: dict[str, int]) -> tuple[int, int
     return (const_eval(width.msb, env), const_eval(width.lsb, env))
 
 
+# The expression forms const_eval folds, besides a parameter's name.
+_FOLDABLE = (n.Number, n.Unary, n.Binary, n.Ternary)
+
+
 def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
     """Map expressions of one instance into the flat module's names.
-    Bounds must elaborate to constants so slices can be compared."""
+    Bounds must elaborate to constants so slices can be compared. A
+    bit-select index that const_eval can fold and that names only
+    parameters folds the same way; one by a literal or a name is left to
+    the walk, which makes no new node."""
 
     def hook(e: n.Expr, walk):
         if isinstance(e, n.Ident):
@@ -122,6 +129,11 @@ def _substituter(prefix: str, env: dict[str, int], alias: dict[str, str]):
         if isinstance(e, n.Repeat):
             count = const_eval(e.count, env)
             return n.Repeat(e.loc, n.Number(e.loc, str(count), count), tuple(walk(p) for p in e.parts))
+        if (isinstance(e, n.BitSelect) and not isinstance(e.index, (n.Number, n.Ident))
+                and all(k.name in env if isinstance(k, n.Ident) else isinstance(k, _FOLDABLE)
+                        for k in n.iter_expr(e.index))):
+            index = const_eval(e.index, env)
+            return n.BitSelect(e.loc, walk(e.base), n.Number(e.loc, str(index), index))
         if isinstance(e, n.PartSelect):
             msb = const_eval(e.msb, env)
             lsb = const_eval(e.lsb, env)

@@ -34,12 +34,14 @@ import numpy as np
 
 from ipsim.detect import check_delta, cosine_similarity
 from ipsim.encode import VOCAB_VERSION, GraphTensors, pack, take
-from ipsim.errors import CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, VocabularyMismatch
+from ipsim.errors import (CheckpointError, ConfigError, MissingGraph, NonFiniteLoss, TrainingError,
+                          VocabularyMismatch)
 from ipsim.model import (Buffers, Hyper, ModelParams, backward, forward, init_params,
                          make_dropout_masks)
 
 Pair = tuple[str, str, int]
 
+OPTIMIZERS = ("sgd", "momentum", "adam")
 MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -85,7 +87,7 @@ class TrainConfig:
     delta: float = 0.5
     seed: int = 0
     patience: int | None = 10
-    optimizer: str = "sgd"          # sgd | momentum | adam
+    optimizer: str = "sgd"          # one of OPTIMIZERS
 
     def __post_init__(self):
         check_delta(self.delta)
@@ -97,6 +99,8 @@ class TrainConfig:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass
@@ -127,8 +131,6 @@ class _Optimizer:
         elif config.optimizer == "adam":
             self.first = np.zeros_like(params.flat)
             self.second = np.zeros_like(params.flat)
-        elif config.optimizer != "sgd":
-            raise ValueError(f"unknown optimizer {config.optimizer!r}")
 
     def step(self, params: ModelParams, grads: ModelParams):
         cfg = self.config
@@ -226,7 +228,7 @@ def train(graphs: dict[str, GraphTensors], train_pairs: list[Pair],
     if test_pairs:
         _check_pairs(graphs, test_pairs)
     if not train_pairs:
-        raise ValueError("no training pairs")
+        raise TrainingError(f"no training pairs (train 0, test {len(test_pairs or ())})")
     train_set = PackedPairs.of(graphs, train_pairs)
     test_set = PackedPairs.of(graphs, test_pairs) if test_pairs else None
     labels = np.array([label for _, _, label in train_pairs])

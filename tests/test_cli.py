@@ -437,6 +437,20 @@ def test_train_rejects_zero_epochs_before_compiling(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_without_training_pairs_is_an_input_error(tmp_path, capsys):
+    # Two one-design families make one pair, and a 0.6 split sends it to test.
+    root = tmp_path / "corpus"
+    for family in ("andor", "xorchain"):
+        (root / family).mkdir(parents=True)
+        (root / family / f"{family}0.v").write_text(FAMILIES[family][0].format(i=0))
+    code = main(["train", "--corpus", str(root), "--out", str(tmp_path / "m.ckpt"),
+                 *TRAIN_ARGS, "--test-fraction", "0.6"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: no training pairs (train 0, test 1)" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_project_csv(corpus, checkpoint, tmp_path, capsys):
     out = tmp_path / "coords.csv"
     code = main(["project", "--corpus", str(corpus),

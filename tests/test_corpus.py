@@ -199,7 +199,7 @@ def test_load_graphs_compiles_and_skips(tmp_path):
 
     corpus = load_corpus(entries, on_skip=lambda e, exc: None)
     assert [e.name for e in corpus.entries] == [e.name for e in entries if e.name in graphs]
-    assert set(corpus.tensors) == set(corpus.graphs) == set(graphs)
+    assert set(corpus.tensors) == set(graphs)
     assert len(corpus.pairs) == comb(4, 2) + 1  # four RTL designs left, two netlists
     # Pairs are built on first use: one family still loads, for projection.
     one_family = load_corpus([e for e in entries if e.family == "famA"])

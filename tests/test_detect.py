@@ -138,6 +138,8 @@ def test_judge_validates_delta():
 def test_sweep_delta_ties_go_to_the_smaller_delta():
     # Every delta in [0.20, 0.50) separates these pairs.
     assert sweep_delta([1, -1], [0.5, 0.2]) == (0.2, 1.0)
+    # A score on a grid point is not above that delta.
+    assert sweep_delta([1, -1], [0.3, 0.29]) == (0.29, 1.0)
 
 
 def test_sweep_delta_grid_ends():

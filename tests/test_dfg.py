@@ -21,13 +21,12 @@ from ipsim.dfg import (
     NODE_KINDS,
     Graph,
     Node,
-    deserialize,
     is_isomorphic,
     serialize,
     trim,
 )
 from ipsim.dfg import build_dfg
-from ipsim.errors import DfgError, DfgFormatError, MultipleContinuousDrivers, UndrivenSignal
+from ipsim.errors import DfgError, MultipleContinuousDrivers, PipelineError, UndrivenSignal
 from ipsim.frontend import flatten_hierarchy, parse
 from ipsim.pipeline import compile_design, compile_text
 from ipsim.variants import make_variant
@@ -350,20 +349,12 @@ endmodule
 
 
 def test_serialize_round_trip(full_adder_graph):
-    text = serialize(full_adder_graph)
-    back = deserialize(text)
-    assert back.name == full_adder_graph.name
-    assert back.nodes == full_adder_graph.nodes
-    assert back.edges == full_adder_graph.edges
-    assert back.roots == full_adder_graph.roots
-    assert serialize(back) == text
-
-
-def test_deserialize_rejects_garbage():
-    with pytest.raises(DfgFormatError):
-        deserialize("not json at all")
-    with pytest.raises(DfgFormatError):
-        deserialize('{"format": "wrong", "version": 1}')
+    g = full_adder_graph
+    doc = json.loads(serialize(g))
+    assert (doc["format"], doc["version"], doc["name"]) == ("ipsim-dfg", 1, g.name)
+    assert [Node(nd["id"], nd["kind"], nd["label"]) for nd in doc["nodes"]] == g.nodes
+    assert [tuple(e) for e in doc["edges"]] == g.edges
+    assert doc["roots"] == g.roots
 
 
 def test_self_isomorphism(full_adder_graph):
@@ -404,6 +395,19 @@ def test_replication_count_anchors_isomorphism():
     assert not is_isomorphic(two, three)
     assert serialize(folded) == serialize(three)
     assert [node.label for node in three.nodes if node.kind == "Concat"] == ["{3}"]
+
+
+def test_constant_bit_select_index_folds_like_a_part_select_bound():
+    text = ("module m #(parameter N = 4) (input [3:0] a, input [1:0] s, output [1:0] y);"
+            " assign %s; endmodule")
+    folded, literal = (compile_text(text % f"y = a[{index}]") for index in ("N-1", "3"))
+    assert serialize(folded) == serialize(literal)
+    folded, literal = (compile_text(text % f"y[{index}] = a[3]") for index in ("1-1", "0"))
+    assert serialize(folded) == serialize(literal)
+    dynamic = compile_text(text % "y = a[s]")
+    assert [node.label for node in dynamic.nodes if node.kind == "PartSelect"] == ["[]"]
+    with pytest.raises(PipelineError, match="negative shift count in constant expression"):
+        compile_text(text % "y = a[1 << -1]")
 
 
 def timed_isomorphic(a: Graph, b: Graph) -> tuple[bool, float]:
@@ -448,8 +452,9 @@ def test_serialize_round_trip_random(seed, size):
     rng = np.random.default_rng(seed)
     edges = random_graph_edges(rng, size)
     g = graph_from_edges(f"g{seed}", edges, size)
-    back = deserialize(serialize(g))
-    assert back.nodes == g.nodes and back.edges == g.edges and back.roots == g.roots
+    doc = json.loads(serialize(g))
+    assert [Node(nd["id"], nd["kind"], nd["label"]) for nd in doc["nodes"]] == g.nodes
+    assert [tuple(e) for e in doc["edges"]] == g.edges and doc["roots"] == g.roots
 
 
 @settings(max_examples=30, deadline=None)

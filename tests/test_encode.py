@@ -101,7 +101,6 @@ def test_empty_graph_rejected():
 def test_encode_dense_below_threshold(full_adder_graph):
     gt = encode(full_adder_graph)
     assert isinstance(gt.p, np.ndarray)
-    assert gt.name == full_adder_graph.name
 
 
 def test_encode_sparse_above_threshold():

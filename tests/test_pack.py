@@ -190,7 +190,7 @@ def test_take_equals_packing_the_subset(members, which, sparse):
 
 def test_evaluate_scores_match_single_graph_embeddings():
     hyper = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout="max", dropout=0.1)
-    gts = {gt.name: gt for gt in random_tensors(9, 6)}
+    gts = {f"g{i}": gt for i, gt in enumerate(random_tensors(9, 6))}
     params = init_params(hyper, 2)
     pairs = [("g0", "g1", 1), ("g2", "g0", -1), ("g5", "g3", 1), ("g4", "g4", 1)]
     _, scores = evaluate(params, hyper, gts, pairs, delta=0.5)
@@ -221,7 +221,7 @@ def test_pair_loss_scores_dead_embeddings_zero():
 
 def test_non_finite_loss_names_epoch_batch_and_pair():
     hyper = Hyper(hidden_dim=8, num_layers=2, pool_ratio=0.5, readout="max", dropout=0.1)
-    gts = {gt.name: gt for gt in random_tensors(10, 4)}
+    gts = {f"g{i}": gt for i, gt in enumerate(random_tensors(10, 4))}
     pairs = [("g0", "g1", 1), ("g2", "g3", -1), ("g1", "g2", 1)]
     params = init_params(hyper, 0)
     train(gts, pairs, None, hyper, TrainConfig(epochs=1, batch_size=2, patience=None),

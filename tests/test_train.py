@@ -11,7 +11,9 @@ from ipsim.encode import VOCAB_VERSION, encode
 from ipsim.errors import (
     CheckpointError,
     MissingGraph,
+    ConfigError,
     NonFiniteLoss,
+    TrainingError,
     VocabularyMismatch,
 )
 from ipsim.model import Buffers, Hyper, ModelParams, init_params
@@ -190,7 +192,7 @@ def test_missing_graph_and_bad_pair_label():
         train(gts, [("g0", "nope", 1)], None, HYPER, config)
     with pytest.raises(ValueError):
         train(gts, [("g0", "g1", 2)], None, HYPER, config)
-    with pytest.raises(ValueError):
+    with pytest.raises(TrainingError, match=r"no training pairs \(train 0, test 0\)"):
         train(gts, [], None, HYPER, config)
 
 
@@ -259,10 +261,8 @@ def test_optimizer_matches_per_array_reference(optimizer):
 
 
 def test_unknown_optimizer_rejected():
-    gts, pairs = toy_setup()
-    config = TrainConfig(epochs=1, optimizer="adagrad")
-    with pytest.raises(ValueError):
-        train(gts, pairs, None, HYPER, config)
+    with pytest.raises(ConfigError, match="optimizer must be one of"):
+        TrainConfig(optimizer="rmsprop")
 
 
 def test_evaluate_self_pairs_and_empty():
