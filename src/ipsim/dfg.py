@@ -194,11 +194,13 @@ class _Builder:
         each part its slice of the value, most significant part first."""
         if isinstance(lhs, n.Ident):
             yield lhs.name, None, None, sym
-        elif isinstance(lhs, n.BitSelect):
-            name, idx = self._select_base(lhs)
-            yield name, idx, idx, sym
-        elif isinstance(lhs, n.PartSelect):
-            yield (*self._part_base(lhs), sym)
+        elif isinstance(lhs, (n.BitSelect, n.PartSelect)):
+            name, hi, lo = self._select_base(lhs) if isinstance(lhs, n.BitSelect) else self._part_base(lhs)
+            top, bot = _width_of(self.flat, name)
+            if not bot <= lo <= hi <= top:
+                bits = hi if hi == lo else f"{hi}:{lo}"
+                raise DfgError(f"{lhs.loc}: assignment target {name}[{bits}] is outside {name}[{top}:{bot}]")
+            yield name, hi, lo, sym
         elif isinstance(lhs, n.Concat):
             widths = [_lhs_width(self.flat, part) for part in lhs.parts]
             hi = sum(widths) - 1
@@ -208,12 +210,12 @@ class _Builder:
         else:
             raise DfgError(f"{lhs.loc}: unsupported {what}")
 
-    def _select_base(self, sel: n.BitSelect) -> tuple[str, int]:
+    def _select_base(self, sel: n.BitSelect) -> tuple[str, int, int]:
         if not isinstance(sel.base, n.Ident):
             raise DfgError(f"{sel.loc}: select target must be a plain signal")
         if not isinstance(sel.index, n.Number) or sel.index.value is None:
             raise DfgError(f"{sel.loc}: bit-select assignment index must be constant")
-        return sel.base.name, sel.index.value
+        return sel.base.name, sel.index.value, sel.index.value
 
     def _part_base(self, sel: n.PartSelect) -> tuple[str, int, int]:
         if not isinstance(sel.base, n.Ident):

@@ -90,6 +90,22 @@ def _fold(expr: n.Expr, env: dict[str, int]) -> int:
     raise ElaborationError(f"{expr.loc}: unsupported constant expression form")
 
 
+def lower_gate(gate: str, terms: list[n.Expr], loc) -> list[n.ContinuousAssign]:
+    """A gate as continuous assigns: not and buf drive every terminal but
+    the last from it, any other gate its first from a left-deep chain of
+    its operator over the rest; INVERT wraps an inverting gate's value."""
+    op, inverts = n.GATES[gate]
+    if op is None:
+        outs, rhs = terms[:-1], terms[-1]
+    else:
+        outs, rhs = terms[:1], terms[1]
+        for t in terms[2:]:
+            rhs = n.Binary(loc, op, rhs, t)
+    if inverts:
+        rhs = n.Unary(loc, n.INVERT, rhs)
+    return [n.ContinuousAssign(out, rhs, loc) for out in outs]
+
+
 def _eval_params(mod: n.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
     env: dict[str, int] = {}
     for p in mod.params:
@@ -199,27 +215,13 @@ class _Flattener:
                 sens = [n.SensItem(s.edge, alias.get(s.signal, prefix + s.signal)) for s in blk.sensitivity]
             flat.always_blocks.append(n.AlwaysBlock(sens, n.map_stmts(blk.body, sub), blk.loc))
         for gate in mod.gates:
-            self._lower_gate(gate, sub)
+            terms = [sub(t) for t in gate.terminals]
+            need = 2 if n.GATES[gate.gate][0] is None else 3
+            if len(terms) < need:
+                raise ElaborationError(f"{gate.loc}: {gate.gate} gate needs at least {need} terminals")
+            flat.assigns += lower_gate(gate.gate, terms, gate.loc)
         for inst in mod.instances:
             self._inline_instance(inst, prefix, sub, stack)
-
-    def _lower_gate(self, gate: n.GateInstance, sub):
-        loc = gate.loc
-        terms = [sub(t) for t in gate.terminals]
-        op, inverts = n.GATES[gate.gate]
-        need = 2 if op is None else 3
-        if len(terms) < need:
-            raise ElaborationError(f"{loc}: {gate.gate} gate needs at least {need} terminals")
-        if op is None:  # not and buf drive every other terminal from the last
-            outs, rhs = terms[:-1], terms[-1]
-        else:
-            outs, rhs = terms[:1], terms[1]
-            for t in terms[2:]:
-                rhs = n.Binary(loc, op, rhs, t)
-        if inverts:
-            rhs = n.Unary(loc, n.INVERT, rhs)
-        for out in outs:
-            self.flat.assigns.append(n.ContinuousAssign(out, rhs, loc))
 
     def _inline_instance(self, inst: n.Instance, prefix: str, sub, stack: list[str]):
         child = self.ast.module(inst.module_name)

@@ -32,12 +32,17 @@ _RESERVED = KEYWORDS | UNSUPPORTED_KEYWORDS
 # first, so that a match takes "<<<" before "<<" and "<".
 _OPS = sorted({*BINARY, *FOUR_STATE, *UNARY, *"=?:;,.()[]{}@#"}, key=lambda op: (-len(op), op))
 
+# An identifier or keyword, a character that continues one, and a blank.
+IDENT_CHAR = r"[A-Za-z0-9_$]"
+IDENT = r"[A-Za-z_]" + IDENT_CHAR + "*"
+BLANK = r"[ \t\r\f\n]"
+
 # Each match skips blanks, then captures one token: an identifier, a real,
 # a based or plain number, an escaped identifier, a system name, an
 # operator, a character that starts no token, or the empty text at the end.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\f\n]*([A-Za-z_][A-Za-z0-9_$]*|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
-    r"|\d[\d_]*|\\\S+|\$[A-Za-z_][A-Za-z0-9_$]*|"
+    BLANK + "*(" + IDENT + r"|\d[\d_]*\.\d+|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
+    r"|\d[\d_]*|\\\S+|\$" + IDENT + "|"
     + "".join(re.escape(op) + "|" for op in _OPS if len(op) > 1)
     + "[" + re.escape("".join(op for op in _OPS if len(op) == 1)) + r"]|.|\Z)"
 )

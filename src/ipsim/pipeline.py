@@ -1,12 +1,13 @@
 """Source-to-graph convenience layer.
 
-Runs preprocess, parse, elaborate, and graph construction in order and
-rewraps failures as PipelineError tagged with the failing stage, while
-keeping the original exception on .cause for callers that dispatch on
-it (corpus scans skip UnsupportedConstruct, for example). A design that
-nests deeper than a stage's recursive walkers can follow raises
-RecursionError there; it is rewrapped the same way, with DesignTooDeep
-as the cause.
+Runs preprocess, parse, elaborate, and graph construction in order (a
+plain gate netlist in one file is read straight into its flat module,
+with no parse or elaborate) and rewraps failures as PipelineError tagged
+with the failing stage, while keeping the original exception on .cause
+for callers that dispatch on it (corpus scans skip UnsupportedConstruct,
+for example). A design that nests deeper than a stage's recursive
+walkers can follow raises RecursionError there; it is rewrapped the same
+way, with DesignTooDeep as the cause.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ipsim.dfg import Graph, build_dfg
 from ipsim.errors import DesignTooDeep, IpsimError, PipelineError
 from ipsim.frontend import SourceUnit, flatten_hierarchy, parse_unit, preprocess
 from ipsim.frontend.flatten import FlatModule
+from ipsim.frontend.netlist import read_netlist
 from ipsim.frontend.preprocess import read_source
 
 
@@ -44,8 +46,11 @@ def unit_from_paths(paths: list[str | Path], top: str | None = None,
 def elaborate(unit: SourceUnit, design: str | None = None) -> FlatModule:
     design = design or (unit.files[0][0] if unit.files else "<unit>")
     processed = _stage("preprocess", design, preprocess, unit)
-    ast = _stage("parse", design, parse_unit, processed)
     top = unit.top_module or None
+    flat = read_netlist(processed[0][1]) if len(processed) == 1 else None
+    if flat is not None and top in (None, flat.name):
+        return flat
+    ast = _stage("parse", design, parse_unit, processed)
     return _stage("elaborate", design, flatten_hierarchy, ast, top)
 
 

@@ -111,6 +111,9 @@ def test_dfg_input_errors(tmp_path, capsys):
     assert main(["dfg", str(bad)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "error" in err
+    bad.write_text("module m(input a, output y); assign y[1] = a; endmodule\n")
+    assert main(["dfg", str(bad)]) == EXIT_INPUT
+    assert "assignment target y[1] is outside y[0:0]" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -410,6 +410,26 @@ def test_constant_bit_select_index_folds_like_a_part_select_bound():
         compile_text(text % "y = a[1 << -1]")
 
 
+RANGE_TEXT = "module m(input [3:0] a, output reg [1:0] y); %s endmodule"
+
+
+@pytest.mark.parametrize("item, target", [
+    ("assign y[5] = a[0];", "y[5]"),
+    ("assign y[3:2] = a[1:0];", "y[3:2]"),
+    ("always @* begin y = a[1:0]; y[4] = a[0]; end", "y[4]"),
+])
+def test_assignment_target_outside_its_range_is_an_error(item, target):
+    with pytest.raises(PipelineError) as info:
+        compile_text(RANGE_TEXT % item)
+    assert info.value.stage == "dfg" and type(info.value.cause) is DfgError
+    assert f"assignment target {target} is outside y[1:0]" in str(info.value)
+
+
+def test_assignment_target_inside_its_range_compiles():
+    graph = compile_text(RANGE_TEXT % "assign y[1] = a[0]; assign y[0] = a[3];")
+    assert [node.label for node in graph.nodes if node.kind == "PartSelect"] == ["[0]", "[3]"]
+
+
 def timed_isomorphic(a: Graph, b: Graph) -> tuple[bool, float]:
     start = time.perf_counter()
     return is_isomorphic(a, b), time.perf_counter() - start

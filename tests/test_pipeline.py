@@ -143,7 +143,10 @@ def test_corpus_diagnostics_are_pinned():
 def test_no_compile_leaves_cyclic_garbage(monkeypatch):
     """Every object a compile makes is freed by reference counting, so a
     compile gives the cyclic collector nothing to find, a failed one
-    (the chain nests too deep) included."""
+    (the chain nests too deep) included. The objects alive before the
+    compiles are frozen, so each collection walks only what came after:
+    a cycle that runs through an object made before the freeze is not
+    seen."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     ladder = importlib.import_module("ladder")
     jobs = [(path.name, lambda path=path: compile_design([path])) for path in sorted(CORPUS_ROOT.rglob("*.v"))]
@@ -151,6 +154,7 @@ def test_no_compile_leaves_cyclic_garbage(monkeypatch):
              for nl in (ladder.parity(32, 0), ladder.adder(16, 0), ladder.chain(400, 0))]
     found, failed = {}, []
     gc.collect()
+    gc.freeze()
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -161,6 +165,7 @@ def test_no_compile_leaves_cyclic_garbage(monkeypatch):
                 failed.append((name, type(exc.cause).__name__))
             found[name] = gc.collect()
     finally:
+        gc.unfreeze()
         if enabled:
             gc.enable()
     assert len(found) == 95 and failed == [("chain_400", "DesignTooDeep")]
