@@ -115,7 +115,7 @@ def _print_stats(graph):
     counts = graph.kind_counts()
     print(f"name: {graph.name}")
     print(f"nodes: {graph.num_nodes}")
-    print(f"edges: {len(graph.edges)}")
+    print(f"edges: {len(graph.sources)}")
     print(f"roots: {len(graph.roots)}")
     for kind in sorted(counts):
         print(f"  {kind}: {counts[kind]}")

@@ -4,19 +4,22 @@ Every output port becomes a root. Edges point from a consumer toward
 the expression that produces its value, so leaves are input ports and
 constants. Procedural blocks are walked symbolically: conditional
 updates become Branch nodes and an unassigned path holds the signal's
-own previous value, which is what turns registers into cycles.
+own previous value, which is what turns registers into cycles. Gates
+reach the builder unlowered, and it lowers them itself.
 
 Node kinds come from a fixed vocabulary, NODE_KINDS, so that feature
 encodings stay aligned across designs and checkpoint versions; an
 operator's kind comes from the operator table in ipsim.frontend.nodes.
+A graph is int lists from the builder through trim and encode: a kind
+index and a label per node, and the two ends of each edge.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 from ipsim.errors import DfgError, MultipleContinuousDrivers, UndrivenSignal
@@ -35,7 +38,12 @@ NODE_KINDS = (
     "Cond", "Unknown",
 )
 KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
+_SIGNAL = KIND_INDEX["Signal"]
 _PORT_KINDS = {"input": "Input", "output": "Output", "inout": "Inout"}
+# A gate's operator kind (None for not and buf, which have one input)
+# and, for an inverting gate, the kind of the node that wraps its value.
+_GATE_KINDS = {gate: (op and n.BINARY[op].kind, n.UNARY[n.INVERT].kind if inverts else None)
+               for gate, (op, inverts) in n.GATES.items()}
 
 
 class Node(NamedTuple):
@@ -46,35 +54,41 @@ class Node(NamedTuple):
 
 @dataclass
 class Graph:
-    """Rooted directed multigraph with parallel edges already collapsed."""
+    """Rooted directed graph as int lists: node i has kind
+    NODE_KINDS[kinds[i]] and label labels[i], and edge j runs from
+    sources[j] to targets[j]. A built graph has its edges sorted and
+    parallel ones collapsed; a raw one, trim's input, may repeat an edge.
+    nodes and edges are views, built when read."""
 
     name: str
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    kinds: list[int] = field(default_factory=list)
+    labels: list[str] = field(default_factory=list)
+    sources: list[int] = field(default_factory=list)
+    targets: list[int] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.edges:
-            out[src].append(dst)
-        return out
+    @property
+    def nodes(self) -> list[Node]:
+        return [Node(i, NODE_KINDS[k], label) for i, (k, label) in enumerate(zip(self.kinds, self.labels))]
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return list(zip(self.sources, self.targets))
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
+        return {NODE_KINDS[k]: count for k, count in Counter(self.kinds).items()}
 
 
 class _Sym:
     """Operator node in a symbolic driver tree. Shared subtrees are
     deliberate (blocking reads snapshot the writer's tree) and are
-    emitted once, by object identity. A leaf that reads a signal is an
-    n.Ident: the source's own read, or a fresh one for a held value."""
+    emitted once, by object identity. A leaf that reads a signal is its
+    name, from a gate, or an n.Ident: the source's own read, or a fresh
+    one for a held value."""
 
     __slots__ = ("kind", "label", "children")
 
@@ -142,6 +156,18 @@ class _DriverTable:
                 raise MultipleContinuousDrivers(name)
         self.slices.setdefault(name, []).append((hi, lo, sym))
 
+    def undriven(self, name: str, top: int, bot: int) -> list[str]:
+        """The bits of name[top:bot] that its slices leave undriven, as
+        selects, most significant first."""
+        gaps, hi = [], top
+        for slice_hi, slice_lo, _ in sorted(self.slices[name], key=lambda s: -s[0]):
+            if slice_hi < hi:
+                gaps.append((hi, slice_hi + 1))
+            hi = slice_lo - 1
+        if hi >= bot:
+            gaps.append((hi, bot))
+        return [f"{name}[{a}]" if a == b else f"{name}[{a}:{b}]" for a, b in gaps]
+
     def driver(self, name: str):
         if name in self.full:
             return self.full[name]
@@ -160,9 +186,10 @@ class _Builder:
         self.port_kinds = {name: _PORT_KINDS.get(direction, "Signal")
                            for name, direction in flat.port_directions().items()}
         self.table = _DriverTable()
-        self.kinds: list[str] = []
+        self.kinds: list[int] = []
         self.labels: list[str] = []
-        self.edges: set[tuple[int, int]] = set()
+        self.sources: list[int] = []
+        self.targets: list[int] = []
         self.signal_nodes: dict[str, int] = {}
         self.const_nodes: dict[str, int] = {}
         # Keyed on the object, which the dict keeps alive: an id() key
@@ -174,12 +201,38 @@ class _Builder:
 
     def _collect(self):
         for assign in self.flat.assigns:
-            self._continuous(assign.lhs, self._conv(assign.rhs, {}))
+            if type(assign) is tuple:
+                gate, terms, _ = assign
+                self._gate(gate, terms)
+            else:
+                self._continuous(assign.lhs, self._conv(assign.rhs, {}))
         for blk in self.flat.always_blocks:
             env: dict[str, object] = {}
             self._walk(blk.body, env)
             for name, sym in env.items():
                 self.table.add_full(name, sym)
+
+    def _gate(self, gate: str, terms: list):
+        """Drive a gate's outputs. not and buf drive every terminal but
+        the last from it, any other gate its first from a left-deep chain
+        of its operator over the rest; an inverting gate's value is
+        wrapped. Each output has a tree of its own. A terminal is a name
+        or an expression, which drives or reads as an assignment's would."""
+        kind, invert = _GATE_KINDS[gate]
+        outs, ins = (terms[:-1], terms[-1:]) if kind is None else (terms[:1], terms[1:])
+        for out in outs:
+            sym = self._operand(ins[0])
+            for term in ins[1:]:
+                sym = _Sym(kind, "", (sym, self._operand(term)))
+            if invert:
+                sym = _Sym(invert, "", (sym,))
+            if type(out) is str:
+                self.table.add_full(out, sym)
+            else:
+                self._continuous(out, sym)
+
+    def _operand(self, term):
+        return term if type(term) is str else self._conv(term, {})
 
     def _continuous(self, lhs: n.Expr, sym):
         for name, hi, lo, driver in self._targets(lhs, sym, "continuous assignment target"):
@@ -321,11 +374,13 @@ class _Builder:
     # --- node emission ----------------------------------------------------
 
     def _new_node(self, kind: str, label: str = "") -> int:
-        self.kinds.append(kind)
+        self.kinds.append(KIND_INDEX[kind])
         self.labels.append(label)
         return len(self.kinds) - 1
 
     def _emit(self, sym) -> int:
+        if type(sym) is str:
+            return self._signal_node(sym)
         if isinstance(sym, n.Ident):
             return self._signal_node(sym.name)
         cached = self.sym_nodes.get(sym)
@@ -343,7 +398,9 @@ class _Builder:
         nid = self._new_node(sym.kind, sym.label)
         self.sym_nodes[sym] = nid
         for child in sym.children:
-            self.edges.add((nid, self._emit(child)))
+            target = self._emit(child)
+            self.sources.append(nid)
+            self.targets.append(target)
         return nid
 
     def _signal_node(self, name: str) -> int:
@@ -355,16 +412,22 @@ class _Builder:
         self.signal_nodes[name] = nid
         driver = self.table.driver(name)
         if driver is not None:
-            self.edges.add((nid, self._emit(driver)))
+            if name in self.table.slices and kind in ("Output", "Signal"):
+                missing = self.table.undriven(name, *_width_of(self.flat, name))
+                if missing:
+                    raise UndrivenSignal(name, missing)
+            target = self._emit(driver)
+            self.sources.append(nid)
+            self.targets.append(target)
         elif kind in ("Output", "Signal"):
             raise UndrivenSignal(name)
         return nid
 
     def build(self, root_signals: list[str], name: str) -> Graph:
-        """The raw graph: nodes in emission order, edges unsorted."""
+        """The raw graph: nodes in emission order, edges unsorted and
+        maybe repeated."""
         roots = [self._signal_node(s) for s in root_signals]
-        nodes = [Node(i, k, l) for i, (k, l) in enumerate(zip(self.kinds, self.labels))]
-        return Graph(name=name, nodes=nodes, edges=list(self.edges), roots=roots)
+        return Graph(name, self.kinds, self.labels, self.sources, self.targets, roots)
 
 
 def build_dfg(flat: FlatModule, trimmed: bool = True) -> Graph:
@@ -387,9 +450,13 @@ def trim(graph: Graph) -> Graph:
     back on the heap. Every other node's successors are resolved through
     the splices at the end. The kept nodes are renumbered as
     _canonicalize numbers a graph, in the same pass."""
-    succ_lists = graph.successors()
+    kinds, roots = graph.kinds, graph.roots
+    size = len(kinds)
+    succ_lists: list[list[int]] = [[] for _ in kinds]
+    for src, dst in zip(graph.sources, graph.targets):
+        succ_lists[src].append(dst)
     keep: set[int] = set()
-    stack = list(graph.roots)
+    stack = list(roots)
     while stack:
         cur = stack.pop()
         if cur in keep:
@@ -397,9 +464,8 @@ def trim(graph: Graph) -> Graph:
         keep.add(cur)
         stack.extend(succ_lists[cur])
 
-    nodes = graph.nodes
-    succ = {nid: set(succ_lists[nid]) for nid in keep if nodes[nid].kind == "Signal"}
-    for root in graph.roots:
+    succ = {nid: set(succ_lists[nid]) for nid in keep if kinds[nid] == _SIGNAL}
+    for root in roots:
         succ.pop(root, None)
     pred: dict[int, set[int]] = {nid: set() for nid in succ}
     for s, out in succ.items():
@@ -436,37 +502,39 @@ def trim(graph: Graph) -> Graph:
     for nid, target in reversed(alias.items()):
         alias[nid] = alias.get(target, target)
     kept = keep.difference(alias)
-    order = sorted(kept, key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
-    size = len(nodes)
     edges = {s * size + alias.get(d, d) for s in kept.difference(succ) for d in succ_lists[s]}
     edges.update(s * size + d for s, out in succ.items() for d in out)
-    return _renumber(graph, order, edges)
+    return _renumber(graph, sorted(kept), edges)
 
 
 def _canonicalize(graph: Graph) -> Graph:
     """Renumber nodes by (kind, label, prior position) so equal structure
     yields equal serialized form."""
-    nodes = graph.nodes
-    order = sorted(range(len(nodes)), key=lambda i: (KIND_INDEX[nodes[i].kind], nodes[i].label, i))
-    size = len(nodes)
-    return _renumber(graph, order, {s * size + d for s, d in graph.edges})
+    size = graph.num_nodes
+    return _renumber(graph, list(range(size)), {s * size + d for s, d in zip(graph.sources, graph.targets)})
 
 
 def _renumber(graph: Graph, order: list[int], edges) -> Graph:
-    """The graph of graph's nodes order[0], order[1], ..., numbered from 0,
-    with the given edges among them, sorted, and graph's roots. An edge
-    is the int src * size + dst, size the number of graph's nodes, which
-    orders as the pair does and is not an object the collector tracks."""
+    """The graph of graph's nodes in order, an ascending list of ids that
+    is sorted here by (kind, label, id), numbered from 0, with the given
+    edges among them, sorted, and graph's roots. The sorts, by label and
+    then by kind, are stable, so each keeps the ties in the order before
+    it. An edge is the int src * size + dst, size the number of graph's
+    nodes, which orders as the pair does and is not an object the
+    collector tracks."""
+    order.sort(key=graph.labels.__getitem__)
+    order.sort(key=graph.kinds.__getitem__)
     size = graph.num_nodes
     remap = [0] * size
     for new, old in enumerate(order):
         remap[old] = new
-    nodes = graph.nodes
     keys = sorted([remap[key // size] * size + remap[key % size] for key in edges])
     return Graph(
         name=graph.name,
-        nodes=[Node(new, nodes[old].kind, nodes[old].label) for new, old in enumerate(order)],
-        edges=list(map(divmod, keys, repeat(size))),
+        kinds=list(map(graph.kinds.__getitem__, order)),
+        labels=list(map(graph.labels.__getitem__, order)),
+        sources=[key // size for key in keys],
+        targets=[key % size for key in keys],
         roots=[remap[r] for r in graph.roots],
     )
 
@@ -481,8 +549,9 @@ def serialize(graph: Graph) -> str:
         "format": "ipsim-dfg",
         "version": 1,
         "name": graph.name,
-        "nodes": [{"id": nd.id, "kind": nd.kind, "label": nd.label} for nd in graph.nodes],
-        "edges": [[s, d] for s, d in graph.edges],
+        "nodes": [{"id": i, "kind": NODE_KINDS[k], "label": label}
+                  for i, (k, label) in enumerate(zip(graph.kinds, graph.labels))],
+        "edges": [[s, d] for s, d in zip(graph.sources, graph.targets)],
         "roots": list(graph.roots),
     }, separators=(",", ":"))
 
@@ -523,12 +592,12 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     ids: dict[tuple, int] = {}
     colors: list[int] = []
     for base, graph in ((0, a), (offset, b)):
-        for s, d in set(graph.edges):
+        for s, d in set(zip(graph.sources, graph.targets)):
             succ[base + s].append(base + d)
             pred[base + d].append(base + s)
         roots = set(graph.roots)
-        for i, nd in enumerate(graph.nodes):
-            key = (nd.kind, "" if nd.kind == "Signal" else nd.label, i in roots)
+        for i, (k, label) in enumerate(zip(graph.kinds, graph.labels)):
+            key = (k, "" if k == _SIGNAL else label, i in roots)
             colors.append(ids.setdefault(key, len(ids)))
 
     stack: list[tuple[list[int], int, int]] = [(colors, -1, -1)]

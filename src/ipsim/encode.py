@@ -26,14 +26,13 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import itertools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ipsim.dfg import KIND_INDEX, NODE_KINDS, Graph
+from ipsim.dfg import NODE_KINDS, Graph
 from ipsim.errors import EmptyGraph, ShapeMismatch
 
 VOCAB_VERSION = "kinds-v1.36"
@@ -74,9 +73,7 @@ class GraphTensors:
 
 def one_hot_features(graph: Graph) -> np.ndarray:
     x = np.zeros((graph.num_nodes, FEATURE_DIM), dtype=bool)
-    unknown = KIND_INDEX["Unknown"]
-    for node in graph.nodes:
-        x[node.id, KIND_INDEX.get(node.kind, unknown)] = True
+    x[np.arange(graph.num_nodes), graph.kinds] = True
     return x
 
 
@@ -87,8 +84,7 @@ def adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     count = graph.num_nodes
     if count == 0:
         raise EmptyGraph(f"graph {graph.name!r} has no nodes")
-    ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.int64, 2 * len(graph.edges))
-    src, dst = ends[0::2], ends[1::2]
+    src, dst = np.array(graph.sources, np.int64), np.array(graph.targets, np.int64)
     keys = np.concatenate((src * count + dst, dst * count + src, np.arange(0, count * count, count + 1)))
     keys.sort()
     first = np.ones(keys.size, bool)  # the first of each run of equal keys

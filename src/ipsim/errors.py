@@ -124,9 +124,15 @@ class MultipleContinuousDrivers(DfgError):
 
 
 class UndrivenSignal(DfgError):
-    def __init__(self, signal: str):
+    """A signal that is read but not driven, or whose continuous slices
+    leave the bits ``missing`` (selects such as ``y[3:2]``) undriven."""
+
+    def __init__(self, signal: str, missing: list[str] | None = None):
         self.signal = signal
-        super().__init__(f"signal {signal!r} has no driver and is not an input")
+        if missing:
+            super().__init__(f"signal {signal!r} has no driver for {', '.join(missing)}")
+        else:
+            super().__init__(f"signal {signal!r} has no driver and is not an input")
 
 
 class EmptyGraph(IpsimError):

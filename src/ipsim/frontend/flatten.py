@@ -1,10 +1,10 @@
 """Hierarchy elaboration.
 
 Inlines every instance into a single flat module. Signals from an
-instance subtree get dot-joined path prefixes (u1.u2.sig), parameters
-are folded to integer constants and primitive gate instances are lowered
-to continuous assignments, both through the operator table in nodes.
-Port connections to simple identifiers become pure renames; compound
+instance subtree get dot-joined path prefixes (u1.u2.sig) and parameters
+are folded to integer constants through the operator table in nodes.
+Primitive gates stay gates, which the DFG builder lowers. Port
+connections to simple identifiers become pure renames; compound
 connections become glue assignments.
 """
 
@@ -37,12 +37,15 @@ class FlatPort:
 
 @dataclass
 class FlatModule:
-    """A fully elaborated design: no instances, no parameters."""
+    """A fully elaborated design: no instances, no parameters. assigns
+    holds the continuous drivers in source order: a ContinuousAssign, or
+    a gate as the tuple (gate, terminals, loc), its terminals each a name
+    or an expression."""
 
     name: str
     ports: list[FlatPort] = field(default_factory=list)
     widths: dict[str, tuple[int, int] | None] = field(default_factory=dict)
-    assigns: list[n.ContinuousAssign] = field(default_factory=list)
+    assigns: list[n.ContinuousAssign | tuple[str, list, object]] = field(default_factory=list)
     always_blocks: list[n.AlwaysBlock] = field(default_factory=list)
 
     def port_directions(self) -> dict[str, str]:
@@ -88,22 +91,6 @@ def _fold(expr: n.Expr, env: dict[str, int]) -> int:
     if isinstance(expr, n.Ternary):
         return const_eval(expr.true, env) if const_eval(expr.cond, env) else const_eval(expr.false, env)
     raise ElaborationError(f"{expr.loc}: unsupported constant expression form")
-
-
-def lower_gate(gate: str, terms: list[n.Expr], loc) -> list[n.ContinuousAssign]:
-    """A gate as continuous assigns: not and buf drive every terminal but
-    the last from it, any other gate its first from a left-deep chain of
-    its operator over the rest; INVERT wraps an inverting gate's value."""
-    op, inverts = n.GATES[gate]
-    if op is None:
-        outs, rhs = terms[:-1], terms[-1]
-    else:
-        outs, rhs = terms[:1], terms[1]
-        for t in terms[2:]:
-            rhs = n.Binary(loc, op, rhs, t)
-    if inverts:
-        rhs = n.Unary(loc, n.INVERT, rhs)
-    return [n.ContinuousAssign(out, rhs, loc) for out in outs]
 
 
 def _eval_params(mod: n.ModuleDecl, overrides: dict[str, int]) -> dict[str, int]:
@@ -219,7 +206,7 @@ class _Flattener:
             need = 2 if n.GATES[gate.gate][0] is None else 3
             if len(terms) < need:
                 raise ElaborationError(f"{gate.loc}: {gate.gate} gate needs at least {need} terminals")
-            flat.assigns += lower_gate(gate.gate, terms, gate.loc)
+            flat.assigns.append((gate.gate, terms, gate.loc))
         for inst in mod.instances:
             self._inline_instance(inst, prefix, sub, stack)
 

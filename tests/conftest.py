@@ -74,12 +74,19 @@ def random_graph_edges(rng: np.random.Generator, n: int) -> list[tuple[int, int]
     return sorted(edges)
 
 
+def make_graph(name: str, nodes: list[tuple[str, str]], edges: list[tuple[int, int]], roots: list[int]):
+    """A Graph of (kind, label) nodes, numbered in list order, and
+    (src, dst) edges."""
+    from ipsim.dfg import KIND_INDEX, Graph
+    return Graph(name, [KIND_INDEX[kind] for kind, _ in nodes], [label for _, label in nodes],
+                 [s for s, _ in edges], [d for _, d in edges], list(roots))
+
+
 def graph_from_edges(name: str, edges: list[tuple[int, int]], n: int,
                      kinds: list[str] | None = None):
     """Assemble a Graph object directly, bypassing the Verilog frontend."""
-    from ipsim.dfg import NODE_KINDS, Graph, Node
+    from ipsim.dfg import NODE_KINDS
     if kinds is None:
         kinds = [NODE_KINDS[i % len(NODE_KINDS)] for i in range(n)]
-    nodes = [Node(id=i, kind=kinds[i], label=f"n{i}") for i in range(n)]
     roots = sorted({d for _, d in edges} - {s for s, _ in edges}) or ([0] if n else [])
-    return Graph(name=name, nodes=nodes, edges=list(edges), roots=list(roots))
+    return make_graph(name, [(kinds[i], f"n{i}") for i in range(n)], edges, roots)

@@ -164,7 +164,9 @@ def trim_reference(graph):
     """
     from ipsim.dfg import Graph, _canonicalize
 
-    succ = graph.successors()
+    succ: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for s, d in graph.edges:
+        succ[s].append(d)
     keep: set[int] = set()
     stack = list(graph.roots)
     while stack:
@@ -205,10 +207,13 @@ def trim_reference(graph):
             break
 
     order = sorted(alive)
+    edges = sorted((order.index(s), order.index(d)) for s, d in edges)
     return _canonicalize(Graph(
         name=graph.name,
-        nodes=[graph.nodes[i] for i in order],
-        edges=sorted((order.index(s), order.index(d)) for s, d in edges),
+        kinds=[graph.kinds[i] for i in order],
+        labels=[graph.labels[i] for i in order],
+        sources=[s for s, _ in edges],
+        targets=[d for _, d in edges],
         roots=[order.index(resolve(r)) for r in graph.roots],
     ))
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gradcheck
-from conftest import CORPUS_ROOT, graph_from_edges, random_graph_edges
+from conftest import CORPUS_ROOT, graph_from_edges, make_graph, random_graph_edges
 from ipsim.cli import main
 from ipsim.corpus import (
     flatten_families,
@@ -29,7 +29,7 @@ from ipsim.corpus import (
     split_pairs,
 )
 from ipsim.detect import cosine_similarity, judge
-from ipsim.dfg import NODE_KINDS, Graph, Node, is_isomorphic
+from ipsim.dfg import NODE_KINDS, Graph, is_isomorphic
 from ipsim.encode import adjacency, encode
 from ipsim.model import Hyper, embed, gcn_layer, init_params
 from ipsim.pipeline import compile_design, compile_text
@@ -171,12 +171,12 @@ def test_criterion_03_training_gradients_match_finite_differences():
 
 
 def relabeled(graph: Graph, perm: np.ndarray) -> Graph:
-    nodes = sorted(
-        (Node(id=int(perm[n.id]), kind=n.kind, label=n.label) for n in graph.nodes),
-        key=lambda n: n.id)
+    nodes = [("", "")] * graph.num_nodes
+    for node in graph.nodes:
+        nodes[int(perm[node.id])] = (node.kind, node.label)
     edges = [(int(perm[s]), int(perm[d])) for s, d in graph.edges]
     roots = sorted(int(perm[r]) for r in graph.roots)
-    return Graph(name=graph.name, nodes=nodes, edges=edges, roots=roots)
+    return make_graph(graph.name, nodes, edges, roots)
 
 
 def test_criterion_04_embeddings_invariant_to_relabeling():

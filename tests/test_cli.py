@@ -186,6 +186,13 @@ def test_too_many_instances_is_an_input_error(tmp_path, capsys):
     assert "module 'm19' flattens to more than 65536 module instances" in capsys.readouterr().err
 
 
+def test_signal_driven_in_part_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "part.v"
+    src.write_text("module m(input a, output [3:0] y);\n  assign y[1:0] = {a, a};\nendmodule\n")
+    assert main(["dfg", str(src)]) == EXIT_INPUT
+    assert "signal 'y' has no driver for y[3:2]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("literal", ["4'd3f", "4'b102", "4'o9", "4'b0b1", "4'sB0B1", "4'h_"])
 def test_literal_digits_outside_its_base_are_a_syntax_error(tmp_path, capsys, literal):
     src = tmp_path / "lit.v"

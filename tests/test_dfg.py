@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_ROOT, graph_from_edges, random_graph_edges
+from conftest import CORPUS_ROOT, graph_from_edges, make_graph, random_graph_edges
 import ipsim
 from ipsim import dfg
 from ipsim.dfg import (
@@ -129,6 +130,19 @@ def test_undriven_output_rejected():
         build_raw("module m(input a, output y); endmodule")
 
 
+@pytest.mark.parametrize("decl, body, missing", [
+    ("output [1:0] y", "assign y[0] = a;", "'y' has no driver for y[1]"),
+    ("output [1:0] y", "assign y[1] = a;", "'y' has no driver for y[0]"),
+    ("output [3:0] y", "assign y[1:0] = {a, a};", "'y' has no driver for y[3:2]"),
+    ("output [0:3] y", "assign y[3:2] = {a, a};", "'y' has no driver for y[1:0]"),
+    ("output [5:1] y", "assign y[4] = a; assign y[2] = a;", "'y' has no driver for y[5], y[3], y[1]"),
+    ("output y", "wire [1:0] w; assign w[1] = a; assign y = w[1];", "'w' has no driver for w[0]"),
+])
+def test_signal_driven_in_part_is_undriven(decl, body, missing):
+    with pytest.raises(UndrivenSignal, match=re.escape(f"signal {missing}")):
+        build_raw(f"module m(input a, {decl}); {body} endmodule")
+
+
 @pytest.mark.parametrize("body, message", [
     ("assign P = a; assign y = a;", "unsupported continuous assignment target"),
     ("always @(*) begin P = a; y = a; end", "unsupported assignment target"),
@@ -230,8 +244,7 @@ def random_raw_graph(rng: random.Random, size: int) -> Graph:
             edges.append((chain[-1], chain[0]))  # a cycle, or a self-loop
     edges += rng.choices(edges, k=min(len(edges), 3))
     roots = rng.choices(range(size), k=rng.randint(1, 3))
-    nodes = [Node(i, kind, f"n{i}") for i, kind in enumerate(kinds)]
-    return Graph("raw", nodes, edges, roots)
+    return make_graph("raw", [(kind, f"n{i}") for i, kind in enumerate(kinds)], edges, roots)
 
 
 def test_trim_matches_rescanning_reference():
@@ -254,13 +267,12 @@ def gate_netlist(inputs: list[str], outputs: list[str], gates: list[tuple]):
                       "endmodule"])
     kinds = ([("Input", p) for p in inputs] + [("Output", p) for p in outputs]
              + [("Signal", w) for w in wires] + [(kind, "") for kind, _, _ in gates])
-    nodes = [Node(i, kind, label) for i, (kind, label) in enumerate(kinds)]
-    ids = {nd.label: nd.id for nd in nodes if nd.label}
+    ids = {label: i for i, (_, label) in enumerate(kinds) if label}
     edges = []
     for gate_id, (_, out, ins) in enumerate(gates, start=len(ids)):
         edges.append((ids[out], gate_id))
         edges += [(gate_id, ids[w]) for w in ins]
-    return text, Graph("net", nodes, edges, [ids[p] for p in outputs])
+    return text, make_graph("net", kinds, edges, [ids[p] for p in outputs])
 
 
 def parity_tree(n: int, rng: random.Random):
@@ -402,7 +414,7 @@ def test_constant_bit_select_index_folds_like_a_part_select_bound():
             " assign %s; endmodule")
     folded, literal = (compile_text(text % f"y = a[{index}]") for index in ("N-1", "3"))
     assert serialize(folded) == serialize(literal)
-    folded, literal = (compile_text(text % f"y[{index}] = a[3]") for index in ("1-1", "0"))
+    folded, literal = (compile_text(text % f"y[{index}] = a[3]; assign y[1] = a[2]") for index in ("1-1", "0"))
     assert serialize(folded) == serialize(literal)
     dynamic = compile_text(text % "y = a[s]")
     assert [node.label for node in dynamic.nodes if node.kind == "PartSelect"] == ["[]"]
@@ -458,7 +470,7 @@ def test_isomorphism_search_is_bounded(monkeypatch):
     def rings(sizes):
         starts = [sum(sizes[:k]) for k in range(len(sizes))]
         edges = [(s + i, s + (i + 1) % size) for s, size in zip(starts, sizes) for i in range(size)]
-        return Graph("rings", [Node(i, "Not") for i in range(sum(sizes))], edges, [])
+        return make_graph("rings", [("Not", "")] * sum(sizes), edges, [])
     assert is_isomorphic(rings([4, 4, 4]), rings([4, 4, 4]))
     assert not is_isomorphic(rings([4, 4, 4]), rings([6, 6]))
     monkeypatch.setattr(dfg, "ISOMORPHISM_BUDGET", 1)
@@ -486,13 +498,10 @@ def test_relabeled_random_graph_is_isomorphic(seed, size):
     g = graph_from_edges(f"g{seed}", edges, size, kinds=kinds)
     perm = rng.permutation(size)
     inv = np.argsort(perm)
-    from ipsim.dfg import Graph, Node
-    nodes = [Node(id=i, kind=g.nodes[int(perm[i])].kind, label="")
-             for i in range(size)]
+    nodes = [(g.nodes[int(perm[i])].kind, "") for i in range(size)]
     edges2 = sorted((int(inv[s]), int(inv[d])) for s, d in g.edges)
-    anon = Graph(name="anon", nodes=[Node(n.id, n.kind, "") for n in g.nodes],
-                 edges=g.edges, roots=[])
-    shuffled = Graph(name="shuffled", nodes=nodes, edges=edges2, roots=[])
+    anon = make_graph("anon", [(nd.kind, "") for nd in g.nodes], g.edges, [])
+    shuffled = make_graph("shuffled", nodes, edges2, [])
     assert is_isomorphic(anon, shuffled)
 
 

@@ -8,6 +8,7 @@ from ipsim.errors import (
     UnresolvedIdentifier,
 )
 from conftest import doubling
+from ipsim.dfg import build_dfg
 from ipsim.frontend import const_eval, flatten_hierarchy, infer_top, parse
 from ipsim.frontend import nodes as n
 from ipsim.frontend.flatten import MAX_INSTANCES, _instance_count
@@ -105,18 +106,23 @@ endmodule
 
 
 def test_flatten_gate_lowering():
+    # Flattening keeps the gate; the builder lowers it.
     mod = flat("module m(input a, input b, output y); nand g (y, a, b); endmodule")
     assert len(mod.assigns) == 1
-    rhs = mod.assigns[0].rhs
-    assert isinstance(rhs, n.Unary) and rhs.op == "~"
-    inner = rhs.operand
-    assert isinstance(inner, n.Binary) and inner.op == "&"
+    gate, terms, loc = mod.assigns[0]
+    assert gate == "nand" and [t.name for t in terms] == ["y", "a", "b"] and loc.line == 1
+    graph = build_dfg(mod, trimmed=False)
+    assert [node.kind for node in graph.nodes] == ["Input", "Input", "Output", "And", "Not"]
+    assert graph.edges == [(2, 4), (3, 0), (3, 1), (4, 3)]
 
 
 def test_flatten_not_gate_multiple_outputs():
     mod = flat("module m(input a, output y0, output y1); not g (y0, y1, a); endmodule")
-    assert len(mod.assigns) == 2
-    assert all(isinstance(a.rhs, n.Unary) and a.rhs.op == "~" for a in mod.assigns)
+    assert len(mod.assigns) == 1 and mod.assigns[0][0] == "not"
+    # Each output has a Not of its own.
+    graph = build_dfg(mod, trimmed=False)
+    assert [node.kind for node in graph.nodes] == ["Input", "Output", "Output", "Not", "Not"]
+    assert graph.edges == [(1, 3), (2, 4), (3, 0), (4, 0)]
 
 
 def test_unknown_module_error():
@@ -198,7 +204,7 @@ endmodule
     # A part select's bounds are rebuilt as numbers, so its ancestors are new.
     assert fm.assigns[1].lhs is mod.assigns[1].lhs and fm.assigns[1].rhs is not mod.assigns[1].rhs
     # The gate's terminals are the top's own nodes; the instance's are renamed.
-    assert fm.assigns[2].rhs.left is mod.gates[0].terminals[1]
+    assert fm.assigns[2][1][1] is mod.gates[0].terminals[1]
     assert [a.lhs.name for a in fm.assigns[3:]] == ["v"]
     stmt, top_stmt = fm.always_blocks[0].body[0], mod.always_blocks[0].body[0]
     assert stmt.cond is top_stmt.cond
